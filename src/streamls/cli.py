@@ -39,9 +39,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     )
     oracle, kernel = build_objective(cfg, elements)
-    constraint_spec = cfg.constraint
     knapsacks = KnapsackSpec(cfg.knapsacks) if cfg.knapsacks else None
-
+    options = dict(
+        k=cfg.k_value(),
+        eps=cfg.eps,
+        alpha=cfg.alpha_value(),
+        prune=cfg.prune_config(),
+        swap_margin=cfg.swap_margin,
+    )
+    session: SegmentedDppSession | StreamingSession
     if cfg.objective == "seqdpp":
         if cfg.segment < 1:
             raise StreamLsError("seqdpp runs need 'segment' >= 1")
@@ -49,31 +55,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         session = SegmentedDppSession(
             kernel,
             cfg.segment,
-            lambda: build_constraint(constraint_spec),
+            lambda: build_constraint(cfg.constraint),
             knapsacks,
-            k=cfg.k_value(),
-            eps=cfg.eps,
-            alpha=cfg.alpha_value(),
-            prune=cfg.prune_config(),
-            swap_margin=cfg.swap_margin,
+            **options,
         )
-        for e in elements:
-            session.push(e)
-        report = session.close()
     else:
-        plain = StreamingSession(
-            oracle,
-            build_constraint(constraint_spec),
-            knapsacks,
-            k=cfg.k_value(),
-            eps=cfg.eps,
-            alpha=cfg.alpha_value(),
-            prune=cfg.prune_config(),
-            swap_margin=cfg.swap_margin,
+        session = StreamingSession(
+            oracle, build_constraint(cfg.constraint), knapsacks, **options
         )
-        for e in elements:
-            plain.push(e)
-        report = plain.close()
+    for e in elements:
+        session.push(e)
+    report = session.close()
 
     fields: dict[str, object] = {
         "objective": cfg.objective,
@@ -132,49 +124,28 @@ def _bench_stream(n: int, seed: int) -> tuple[list[Element], CoverageOracle]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     n = args.elements
-    table: list[dict[str, object]] = []
-
+    randomized = DoubleGreedyConfig(mode="randomized", seed=args.seed)
     # Chain depth: alpha pins q = ceil(sqrt(2 beta / alpha) + 1).
-    for alpha, q_label in ((1.0, 2), (0.25, 3), (1.0 / 16.0, 5)):
-        elements, oracle = _bench_stream(n, args.seed)
-        session = StreamingSession(
-            oracle,
-            UniformMatroid(10),
-            alpha=alpha,
-            prune=DoubleGreedyConfig(mode="randomized", seed=args.seed),
-        )
-        start = time.perf_counter()
-        for e in elements:
-            session.push(e)
-        elapsed = time.perf_counter() - start
-        table.append(
-            {
-                "scenario": "chain-depth",
-                "param": q_label,
-                "elements": n,
-                "microseconds_per_element": 1e6 * elapsed / n,
-            }
-        )
-
     # Grid width: eps controls the number of parallel threshold runs.
-    for eps in (1.0, 0.5, 0.2):
+    scenarios = [
+        ("chain-depth", q, dict(alpha=alpha, prune=randomized))
+        for alpha, q in ((1.0, 2), (0.25, 3), (1.0 / 16.0, 5))
+    ] + [
+        ("grid-eps", eps, dict(knapsacks=KnapsackSpec(1), k=10, eps=eps, alpha=0.25))
+        for eps in (1.0, 0.5, 0.2)
+    ]
+    table: list[dict[str, object]] = []
+    for scenario, param, options in scenarios:
         elements, oracle = _bench_stream(n, args.seed)
-        session = StreamingSession(
-            oracle,
-            UniformMatroid(10),
-            KnapsackSpec(1),
-            k=10,
-            eps=eps,
-            alpha=0.25,
-        )
+        session = StreamingSession(oracle, UniformMatroid(10), **options)
         start = time.perf_counter()
         for e in elements:
             session.push(e)
         elapsed = time.perf_counter() - start
         table.append(
             {
-                "scenario": "grid-eps",
-                "param": eps,
+                "scenario": scenario,
+                "param": param,
                 "elements": n,
                 "microseconds_per_element": 1e6 * elapsed / n,
             }

@@ -36,6 +36,18 @@ def backbone_alpha(constraint: IndependenceOracle) -> float | None:
     return None
 
 
+def resolve_alpha(constraint: IndependenceOracle, alpha: float | None) -> float:
+    """The given alpha, or the backbone's declared factor when it is None."""
+    resolved = backbone_alpha(constraint) if alpha is None else float(alpha)
+    if resolved is None:
+        raise ConfigError(
+            "alpha must be given explicitly for opaque independence oracles"
+        )
+    if not 0.0 < resolved <= 1.0:
+        raise ConfigError("alpha must lie in (0, 1]")
+    return resolved
+
+
 @dataclass(frozen=True)
 class ProcessOutcome:
     accepted: bool
@@ -50,21 +62,12 @@ class IndStreamInstance:
         oracle: ValueOracle,
         constraint: IndependenceOracle,
         swap_margin: float = 1.0,
-        alpha: float | None = None,
     ):
         if swap_margin <= 0:
             raise ConfigError("swap margin must be positive")
         self.oracle = oracle
         self.constraint = constraint
         self.swap_margin = float(swap_margin)
-        resolved = backbone_alpha(constraint) if alpha is None else float(alpha)
-        if resolved is None:
-            raise ConfigError(
-                "alpha must be given explicitly for opaque independence oracles"
-            )
-        if not 0.0 < resolved <= 1.0:
-            raise ConfigError("alpha must lie in (0, 1]")
-        self.alpha = resolved
 
         self._solution: dict[int, Element] = {}
         self._weights: dict[int, float] = {}
@@ -101,7 +104,6 @@ class IndStreamInstance:
 
     def _reject(self, e: Element) -> ProcessOutcome:
         self.discarded_total += 1
-        self._note_memory()
         return ProcessOutcome(False, frozenset({e}))
 
     def _choose_swap(self, s: frozenset[Element], e: Element) -> frozenset[Element] | None:
@@ -133,19 +135,17 @@ class IndStreamInstance:
         self._note_memory()
         return ProcessOutcome(True, evicted)
 
-    def process(self, e: Element) -> ProcessOutcome:
-        """Plain swap-rule update (no density gate, no knapsacks)."""
-        return self._process(e, rho=None, knapsacks=None)
-
-    def process_with_threshold(
-        self, e: Element, rho: float, knapsacks: KnapsackSpec | None
+    def process(
+        self,
+        e: Element,
+        rho: float | None = None,
+        knapsacks: KnapsackSpec | None = None,
     ) -> ProcessOutcome:
-        """Density-gated update; records an overflow and freezes on it."""
-        return self._process(e, rho=rho, knapsacks=knapsacks)
+        """Swap-rule update, density-gated when ``rho`` is given.
 
-    def _process(
-        self, e: Element, rho: float | None, knapsacks: KnapsackSpec | None
-    ) -> ProcessOutcome:
+        With knapsacks, a would-be acceptance that overflows one records
+        the overflow and freezes the instance.
+        """
         self.processed += 1
         if self._frozen:
             return self._reject(e)
@@ -189,9 +189,14 @@ class IndStreamInstance:
                 # before the overflow, and the overflowing element itself.
                 self._overflow = (s, e)
                 self._frozen = True
+                self._note_memory()
                 return self._reject(e)
 
         return self._commit(e, gain, evicted)
+
+    # One body under both names. Tracing wraps each name separately, so
+    # neither may call the other or every traced step counts twice.
+    process_with_threshold = process
 
     def stats(self) -> dict[str, int]:
         return {

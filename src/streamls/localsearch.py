@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .constraints import IndependenceOracle, KnapsackSpec
-from .errors import ConfigError, DomainError
-from .indstream import IndStreamInstance, backbone_alpha
+from .errors import ConfigError
+from .indstream import IndStreamInstance, resolve_alpha
 from .objectives import Element, ValueOracle
 from .unconstrained import DoubleGreedyConfig, unconstrained_max
 
@@ -88,12 +88,7 @@ class ChainState:
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
     ):
-        resolved = backbone_alpha(constraint) if alpha is None else float(alpha)
-        if resolved is None:
-            raise ConfigError(
-                "alpha must be given explicitly for opaque independence oracles"
-            )
-        self.alpha = resolved
+        self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
         self.beta = prune.beta
         self.rho = rho
@@ -101,8 +96,7 @@ class ChainState:
         self.q = chain_length(self.alpha, self.beta)
         self.oracle = oracle
         self.instances = tuple(
-            IndStreamInstance(oracle, constraint, swap_margin, alpha=self.alpha)
-            for _ in range(self.q)
+            IndStreamInstance(oracle, constraint, swap_margin) for _ in range(self.q)
         )
         self.processed = 0
         self.dropped = 0
@@ -119,11 +113,7 @@ class ChainState:
         for inst in self.instances:
             discarded: list[Element] = []
             for x in sorted(batch, key=lambda el: el.id):
-                if self.rho is None:
-                    outcome = inst.process(x)
-                else:
-                    outcome = inst.process_with_threshold(x, self.rho, self.knapsacks)
-                discarded.extend(outcome.discarded)
+                discarded.extend(inst.process(x, self.rho, self.knapsacks).discarded)
             batch = discarded
             if not batch:
                 break
@@ -167,6 +157,9 @@ class ChainState:
 class GridState:
     """Lazily instantiated density-threshold runs plus the max singleton.
 
+    Needs at least one knapsack; without one, ``StreamingSession`` runs a
+    plain ``ChainState``.
+
     Runs are keyed by the absolute grid index j with threshold
     (1+eps)^j; growing the singleton maximum only retires low indices
     and opens high ones, so surviving runs never restart. The active
@@ -186,26 +179,20 @@ class GridState:
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
         swap_margin: float = 1.0,
     ):
-        if knapsacks.d > 0:
-            if eps <= 0.0:
-                raise ConfigError("eps must be positive")
-            if k is None:
-                k = constraint.rank_hint
-            if k is None or k < 1:
-                raise ConfigError(
-                    "k (bound on the largest feasible solution) is required"
-                )
+        if knapsacks.d < 1:
+            raise ConfigError("the threshold grid needs at least one knapsack")
+        if eps <= 0.0:
+            raise ConfigError("eps must be positive")
+        if k is None:
+            k = constraint.rank_hint
+        if k is None or k < 1:
+            raise ConfigError("k (bound on the largest feasible solution) is required")
         self.oracle = oracle
         self.constraint = constraint
         self.knapsacks = knapsacks
         self.k = k
         self.eps = float(eps)
-        resolved = backbone_alpha(constraint) if alpha is None else float(alpha)
-        if resolved is None:
-            raise ConfigError(
-                "alpha must be given explicitly for opaque independence oracles"
-            )
-        self.alpha = resolved
+        self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
         self.swap_margin = swap_margin
 
@@ -216,9 +203,17 @@ class GridState:
         self.retired = 0
         self.high_water = 0
         self.max_active_runs = 0
-        self.max_chain_high_water = 0
+        self._retired_chain_high_water = 0
 
-    def _new_chain(self, rho: float | None) -> ChainState:
+    @property
+    def max_chain_high_water(self) -> int:
+        """Largest high-water of any chain, retired or active."""
+        return max(
+            [self._retired_chain_high_water]
+            + [c.high_water for c in self.runs.values()]
+        )
+
+    def _new_chain(self, rho: float) -> ChainState:
         return ChainState(
             self.oracle,
             self.constraint,
@@ -244,19 +239,6 @@ class GridState:
 
     def process(self, e: Element) -> None:
         self.processed += 1
-        if len(e.costs) != self.knapsacks.d:
-            raise DomainError(
-                f"element {e.id} carries {len(e.costs)} costs, "
-                f"expected {self.knapsacks.d}"
-            )
-        if self.knapsacks.d == 0:
-            # No budgets: a single plain chain reproduces the base search.
-            if 0 not in self.runs:
-                self.runs[0] = self._new_chain(rho=None)
-            self.runs[0].process(e)
-            self._note_memory()
-            return
-
         if self.knapsacks.singleton_fits(e) and self.constraint.is_independent(
             frozenset({e})
         ):
@@ -268,23 +250,17 @@ class GridState:
         if self.m > 0.0:
             lo, hi = self._active_window()
             for j in [j for j in self.runs if j < lo]:
-                self.max_chain_high_water = max(
-                    self.max_chain_high_water, self.runs[j].high_water
+                self._retired_chain_high_water = max(
+                    self._retired_chain_high_water, self.runs.pop(j).high_water
                 )
-                del self.runs[j]
                 self.retired += 1
             for j in range(lo, hi + 1):
                 if j not in self.runs:
                     self.runs[j] = self._new_chain(rho=(1.0 + self.eps) ** j)
         for j in sorted(self.runs):
             self.runs[j].process(e)
-        self._note_memory()
-
-    def _note_memory(self) -> None:
         self.high_water = max(self.high_water, sum(c.held for c in self.runs.values()))
         self.max_active_runs = max(self.max_active_runs, len(self.runs))
-        for chain in self.runs.values():
-            self.max_chain_high_water = max(self.max_chain_high_water, chain.high_water)
 
     def finalize(self) -> Selection:
         """Best run result versus the best feasible singleton."""

@@ -52,9 +52,6 @@ class Element:
     def __hash__(self) -> int:
         return hash(self.id)
 
-    def total_cost(self) -> float:
-        return float(sum(self.costs))
-
 
 def ids_of(elements: Iterable[Element]) -> frozenset[int]:
     return frozenset(e.id for e in elements)
@@ -62,8 +59,6 @@ def ids_of(elements: Iterable[Element]) -> frozenset[int]:
 
 class ValueOracle(ABC):
     """A non-negative submodular set function f over stream elements."""
-
-    ground_size_hint: int | None = None
 
     @abstractmethod
     def value(self, elements: Iterable[Element]) -> float:
@@ -81,7 +76,6 @@ class ModularOracle(ValueOracle):
 
     def __init__(self, weights: Mapping[int, float]):
         self._weights = dict(weights)
-        self.ground_size_hint = len(self._weights)
 
     def value(self, elements: Iterable[Element]) -> float:
         total = 0.0
@@ -102,7 +96,6 @@ class CoverageOracle(ValueOracle):
     ):
         self._covers = {eid: frozenset(items) for eid, items in covers.items()}
         self._item_weights = dict(item_weights) if item_weights else None
-        self.ground_size_hint = len(self._covers)
 
     def value(self, elements: Iterable[Element]) -> float:
         covered: set[Hashable] = set()
@@ -132,7 +125,6 @@ class CutOracle(ValueOracle):
             known.add(u)
             known.add(v)
         self._nodes = frozenset(known)
-        self.ground_size_hint = len(self._nodes)
 
     def value(self, elements: Iterable[Element]) -> float:
         inside = ids_of(elements)
@@ -278,7 +270,6 @@ class LogDetOracle(ValueOracle):
 
     def __init__(self, kernel: DppKernel):
         self.kernel = kernel
-        self.ground_size_hint = len(kernel.ids)
 
     def value(self, elements: Iterable[Element]) -> float:
         return logdet_value(self.kernel, elements)
@@ -343,7 +334,6 @@ class SequentialDppOracle(ValueOracle):
         self.kernel = kernel
         self.prev = frozenset(prev)
         self._base, _ = _logdet_floored(kernel.submatrix(self.prev))
-        self.ground_size_hint = len(kernel.ids)
 
     def value(self, elements: Iterable[Element]) -> float:
         chosen = set(elements)
@@ -401,7 +391,6 @@ class DecomposableOracle(ValueOracle):
         self._scale = self._probe_scale(probe_rng) if scale is None else float(scale)
         if self._scale <= 0:
             self._scale = 1.0
-        self.ground_size_hint = len(self._components)
 
     def _probe_scale(self, rng: random.Random | None) -> float:
         rng = rng or random.Random(0)

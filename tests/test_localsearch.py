@@ -261,7 +261,7 @@ class TestGrid:
     def test_no_knapsacks_degenerates_to_plain_chain(self):
         rng = random.Random(46)
         instance = random_instance(rng, d=0)
-        grid = GridState(
+        session = StreamingSession(
             instance.oracle,
             instance.constraint,
             KnapsackSpec(0),
@@ -270,10 +270,18 @@ class TestGrid:
         )
         chain = ChainState(instance.oracle, instance.constraint, alpha=instance.alpha)
         for e in instance.elements:
-            grid.process(e)
+            session.push(e)
             chain.process(e)
-        assert len(grid.runs) == 1
-        assert grid.finalize() == chain.finalize()
+        assert isinstance(session.engine, ChainState)
+        assert session.snapshot() == chain.finalize()
+        with pytest.raises(ConfigError):
+            GridState(
+                instance.oracle,
+                instance.constraint,
+                KnapsackSpec(0),
+                k=instance.k,
+                alpha=instance.alpha,
+            )
 
     def test_final_set_feasible(self):
         rng = random.Random(47)
@@ -292,6 +300,10 @@ class TestGrid:
             final = grid.finalize()
             assert instance.constraint.is_independent(final.elements)
             assert instance.knapsacks.feasible(final.elements)
+
+    def test_bad_alpha_fails_at_construction(self):
+        with pytest.raises(ConfigError):
+            self._grid(ModularOracle({}), alpha=1.5)
 
     def test_k_required_with_knapsacks(self):
         from streamls import PredicateOracle
