@@ -29,6 +29,7 @@ from .streamio import (
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     cfg = RunConfig.from_file(args.config)
     elements = list(
         load_stream(
@@ -84,6 +85,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fields["precision"] = p
         fields["recall"] = r
         fields["f_score"] = f
+    # Everything up to the report write: set-up, ingest, pushes, summary.
+    fields["seconds_wall"] = time.perf_counter() - start
     if cfg.report:
         write_report(cfg.report, fields)
     for key, value in fields.items():

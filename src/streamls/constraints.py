@@ -7,6 +7,7 @@ with costs normalized to unit capacity.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import AbstractSet, Callable, Mapping, Sequence
 
@@ -199,6 +200,20 @@ class KnapsackSpec:
         return float(sum(self._costs(e)))
 
 
+def cost_problem(eid: int, costs: Sequence[float]) -> str | None:
+    """Why an element's raw costs are unusable, or None when they are fine.
+
+    A cost must be finite and non-negative: a ``nan`` or ``inf`` cost
+    would pass every comparison-based gate and silently drop the element.
+    """
+    for c in costs:
+        if c < 0:
+            return f"element {eid} has negative cost {c}"
+        if not math.isfinite(c):
+            return f"element {eid} has non-finite cost {c}"
+    return None
+
+
 def normalize_costs(
     raw_costs: Mapping[int, Sequence[float]],
     capacities: Sequence[float],
@@ -218,11 +233,10 @@ def normalize_costs(
             raise DomainError(
                 f"element {eid} carries {len(costs)} costs, expected {len(caps)}"
             )
-        row = []
-        for c, cap in zip(costs, caps):
-            if c < 0:
-                raise DomainError(f"element {eid} has negative cost {c}")
-            row.append(float(c) / cap)
+        problem = cost_problem(eid, costs)
+        if problem:
+            raise DomainError(problem)
+        row = [float(c) / cap for c, cap in zip(costs, caps)]
         normalized[eid] = tuple(row)
         if any(c > 1.0 + KNAPSACK_SLACK for c in row):
             flagged.add(eid)

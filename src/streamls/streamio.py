@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
+import time
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Sequence
 
@@ -14,6 +16,7 @@ from .constraints import (
     Matchoid,
     PartitionMatroid,
     UniformMatroid,
+    cost_problem,
 )
 from .errors import ConfigError, ParseError
 from .localsearch import Selection, SessionReport, StreamingSession
@@ -53,7 +56,7 @@ def load_stream(
     ``groups`` (semicolon-separated labels) are recognized, any other
     column is a numeric feature. JSONL rows are objects with the same
     keys (``costs`` as an array). Costs are divided by ``capacities``
-    when given.
+    when given. Costs must be finite and non-negative, features finite.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown stream format {fmt!r}")
@@ -72,9 +75,11 @@ def load_stream(
         seen.add(eid)
         if len(costs) != d:
             raise ParseError(f"element {eid} has {len(costs)} costs, expected {d}", line)
-        for c in costs:
-            if c < 0:
-                raise ParseError(f"element {eid} has negative cost {c}", line)
+        problem = cost_problem(eid, costs)
+        if problem:
+            raise ParseError(problem, line)
+        if not all(math.isfinite(x) for x in features):
+            raise ParseError(f"element {eid} has a non-finite feature", line)
         if caps is not None:
             costs = [c / cap for c, cap in zip(costs, caps)]
         return Element(
@@ -139,15 +144,18 @@ def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad json: {exc.msg}", lineno) from None
+            if not isinstance(obj, dict):
+                raise ParseError("expected a json object", lineno)
             if "id" not in obj:
                 raise ParseError("missing required field 'id'", lineno)
-            yield finish(
-                int(obj["id"]),
-                [float(x) for x in obj.get("features") or []],
-                [float(x) for x in obj.get("costs") or []],
-                frozenset(str(g) for g in obj.get("groups") or []),
-                lineno,
-            )
+            try:
+                eid = int(obj["id"])
+                features = [float(x) for x in obj.get("features") or []]
+                costs = [float(x) for x in obj.get("costs") or []]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(str(exc), lineno) from None
+            groups = frozenset(str(g) for g in obj.get("groups") or [])
+            yield finish(eid, features, costs, groups, lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +199,8 @@ def summary_metrics(
 # ---------------------------------------------------------------------------
 
 
-def parse_kv_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _kv_lines(path: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each ``key = value`` line."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -202,8 +209,12 @@ def parse_kv_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(f"expected 'key = value', found {line!r}", lineno)
             key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+            yield lineno, key.strip(), value.strip()
+
+
+def parse_kv_file(path: str) -> dict[str, str]:
+    """Flat ``key = value`` lines; '#' starts a comment."""
+    return {key: value for _, key, value in _kv_lines(path)}
 
 
 @dataclass
@@ -232,22 +243,25 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        raw = parse_kv_file(path)
         cfg = cls()
-        for key, value in raw.items():
+        for lineno, key, value in _kv_lines(path):
             if not hasattr(cfg, key):
                 raise ConfigError(f"unknown config key {key!r}")
             current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(value))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(value))
-            elif key == "capacities":
-                cfg.capacities = tuple(float(x) for x in value.split(",") if x)
-            else:
-                setattr(cfg, key, value)
+            try:
+                if isinstance(current, (int, float)):
+                    setattr(cfg, key, type(current)(value))
+                elif key == "capacities":
+                    cfg.capacities = tuple(float(x) for x in value.split(",") if x)
+                else:
+                    setattr(cfg, key, value)
+                # Parsed here too, so that a malformed value names its line.
+                cfg.alpha_value()
+                cfg.k_value()
+                cfg.offset_value()
+                cfg.reference_sets()
+            except ValueError:
+                raise ParseError(f"malformed {key} {value!r}", lineno) from None
         if cfg.knapsacks and not cfg.capacities:
             cfg.capacities = tuple(1.0 for _ in range(cfg.knapsacks))
         if cfg.knapsacks and len(cfg.capacities) != cfg.knapsacks:
@@ -263,6 +277,9 @@ class RunConfig:
     def k_value(self) -> int | None:
         return None if self.k == "auto" else int(self.k)
 
+    def offset_value(self) -> float | None:
+        return None if self.offset == "auto" else float(self.offset)
+
     def reference_sets(self) -> list[frozenset[int]]:
         if not self.references:
             return []
@@ -277,6 +294,13 @@ def build_constraint(spec: str) -> IndependenceOracle:
     spec = spec.strip()
     if spec in ("", "none"):
         return UniformMatroid(1 << 30)
+    try:
+        return _parse_constraint(spec)
+    except ValueError:
+        raise ConfigError(f"malformed constraint spec {spec!r}") from None
+
+
+def _parse_constraint(spec: str) -> IndependenceOracle:
     kind, _, body = spec.partition(":")
     if kind == "uniform":
         return UniformMatroid(int(body))
@@ -342,11 +366,9 @@ def build_objective(
         if not cfg.kernel:
             raise ConfigError(f"{cfg.objective} objective needs a 'kernel' file")
         kernel = load_kernel(cfg.kernel)
-        offset = (
-            suggest_logdet_offset(kernel.matrix)
-            if cfg.offset == "auto"
-            else float(cfg.offset)
-        )
+        offset = cfg.offset_value()
+        if offset is None:
+            offset = suggest_logdet_offset(kernel.matrix)
         kernel = DppKernel(kernel.matrix, offset=offset, ids=kernel.ids)
         if cfg.objective == "logdet":
             return LogDetOracle(kernel), kernel
@@ -402,6 +424,7 @@ class SegmentedDppSession:
         self.segments_closed = 0
         self.pushed = 0
         self.seconds_total = 0.0
+        self.high_water = 0
         self._buffer: list[Element] = []
         self._segment_session = self._open_segment()
 
@@ -420,16 +443,18 @@ class SegmentedDppSession:
         self.selected |= selection.elements
         self.prev = selection.elements
         self.segments_closed += 1
-        self.seconds_total += self._segment_session.seconds_total
+        self.high_water = max(self.high_water, self._segment_session.engine.high_water)
         self._buffer = []
         self._segment_session = self._open_segment()
 
     def push(self, e: Element) -> None:
-        self.pushed += 1
+        start = time.perf_counter()
         self._buffer.append(e)
         self._segment_session.push(e)
         if len(self._buffer) >= self.segment_size:
             self._close_segment()
+        self.seconds_total += time.perf_counter() - start
+        self.pushed += 1
 
     def snapshot(self) -> Selection:
         """Selected-so-far plus the running segment's current best."""
@@ -449,7 +474,7 @@ class SegmentedDppSession:
             selection=Selection(frozenset(self.selected), self.conditional_total),
             pushed=self.pushed,
             seconds_total=self.seconds_total,
-            stats={"segments": self.segments_closed},
+            stats={"segments": self.segments_closed, "high_water": self.high_water},
         )
 
 

@@ -1,5 +1,6 @@
 """Independence oracles, knapsack feasibility and the swap-repair search."""
 
+import math
 import random
 
 import pytest
@@ -160,8 +161,9 @@ class TestKnapsacks:
         assert flagged == {2}
 
     def test_normalize_rejects_negative_cost(self):
-        with pytest.raises(DomainError):
-            normalize_costs({0: [-1.0]}, capacities=[1.0])
+        for cost in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                normalize_costs({0: [cost]}, capacities=[1.0])
 
     def test_normalize_rejects_bad_capacity(self):
         with pytest.raises(ConfigError):

@@ -78,6 +78,21 @@ class TestLoadStream:
         assert out[0].groups == frozenset({"a"})
         assert out[1].costs == (0.5,)
 
+    def test_bad_costs_rejected_with_line(self, tmp_path):
+        for cost in ("-0.5", "nan", "inf"):
+            path = tmp_path / "stream.csv"
+            path.write_text(f"id,cost_1\n0,0.2\n1,{cost}\n")
+            with pytest.raises(ParseError) as err:
+                list(load_stream(str(path), d=1))
+            assert err.value.line == 3
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        path.write_text("id,f0\n0,1.0\n1,inf\n")
+        with pytest.raises(ParseError) as err:
+            list(load_stream(str(path)))
+        assert err.value.line == 3
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             list(load_stream(str(tmp_path / "x"), "parquet"))
@@ -213,6 +228,7 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         fields, _ = parse_report(str(report))
         assert fields["pushed"] == 4
+        assert 0.0 < fields["seconds_total"] <= fields["seconds_wall"]
         assert 0.0 <= fields["f_score"] <= 1.0
         assert fields["value"] >= 0.0
         captured = capsys.readouterr()
@@ -250,6 +266,8 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         fields, _ = parse_report(str(report))
         assert fields["segments"] == 2
+        assert fields["high_water"] >= 1
+        assert 0.0 < fields["seconds_total"] <= fields["seconds_wall"]
         assert set(fields["selected"]) <= {0, 1, 2, 3}
 
     def test_run_logdet_with_auto_offset(self, tmp_path):
@@ -320,3 +338,38 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         config = _write_config(tmp_path, "objective = warp\nstream = missing.csv\n")
         assert main(["run", "--config", str(config)]) == 2
+
+    def test_non_finite_cost_row_exits_two(self, tmp_path, capsys):
+        stream = _write_stream(tmp_path, ["0,0.2,a", "1,inf,c", "2,0.3,b"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = uniform:3\n"
+            "knapsacks = 1\nk = 3\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, rows, fmt, needle",
+        [
+            ("k = abc", None, "csv", "line 4"),
+            ("alpha = x", None, "csv", "line 4"),
+            ("eps = x", None, "csv", "line 4"),
+            ("segment = x", None, "csv", "line 4"),
+            ("constraint = uniform:x", None, "csv", "uniform:x"),
+            ("constraint = partition:a=x", None, "csv", "partition:a=x"),
+            ("", ['{"id": "x"}'], "jsonl", "line 1"),
+            ("knapsacks = 1", ['{"id": 0, "costs": ["a"]}'], "jsonl", "line 1"),
+        ],
+        ids=["k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id", "jsonl-cost"],
+    )
+    def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
+        stream = tmp_path / f"stream.{fmt}"
+        stream.write_text("\n".join(rows or ["id,cost_1,groups", "0,0.2,a"]) + "\n")
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nformat = {fmt}\nobjective = coverage\n{setting}\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
