@@ -224,7 +224,7 @@ def normalize_costs(
     flagged: such an element can never enter a feasible solution.
     """
     caps = [float(c) for c in capacities]
-    if any(c <= 0 for c in caps):
+    if not all(c > 0 for c in caps):
         raise ConfigError("capacities must be positive")
     normalized: dict[int, tuple[float, ...]] = {}
     flagged: set[int] = set()

@@ -63,7 +63,7 @@ class IndStreamInstance:
         constraint: IndependenceOracle,
         swap_margin: float = 1.0,
     ):
-        if swap_margin <= 0:
+        if not swap_margin > 0:
             raise ConfigError("swap margin must be positive")
         self.oracle = oracle
         self.constraint = constraint

@@ -181,7 +181,7 @@ class GridState:
     ):
         if knapsacks.d < 1:
             raise ConfigError("the threshold grid needs at least one knapsack")
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ConfigError("eps must be positive")
         if k is None:
             k = constraint.rank_hint

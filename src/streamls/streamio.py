@@ -62,7 +62,7 @@ def load_stream(
         raise ConfigError(f"unknown stream format {fmt!r}")
     caps = [float(c) for c in capacities] if capacities is not None else None
     if caps is not None:
-        if any(c <= 0 for c in caps):
+        if not all(c > 0 for c in caps):
             raise ConfigError("capacities must be positive")
         if d and len(caps) != d:
             raise ConfigError("capacities length must equal the knapsack count")

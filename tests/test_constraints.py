@@ -166,8 +166,9 @@ class TestKnapsacks:
                 normalize_costs({0: [cost]}, capacities=[1.0])
 
     def test_normalize_rejects_bad_capacity(self):
-        with pytest.raises(ConfigError):
-            normalize_costs({0: [1.0]}, capacities=[0.0])
+        for capacity in (0.0, math.nan):
+            with pytest.raises(ConfigError):
+                normalize_costs({0: [1.0]}, capacities=[capacity])
 
 
 class TestExchangeCandidates:

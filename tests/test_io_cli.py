@@ -79,19 +79,13 @@ class TestLoadStream:
         assert out[1].costs == (0.5,)
 
     def test_bad_costs_rejected_with_line(self, tmp_path):
-        for cost in ("-0.5", "nan", "inf"):
+        # Negative, nan and inf costs, then an inf feature.
+        for row in ("-0.5,1.0", "nan,1.0", "inf,1.0", "0.1,inf"):
             path = tmp_path / "stream.csv"
-            path.write_text(f"id,cost_1\n0,0.2\n1,{cost}\n")
+            path.write_text(f"id,cost_1,f0\n0,0.2,1.0\n1,{row}\n")
             with pytest.raises(ParseError) as err:
                 list(load_stream(str(path), d=1))
             assert err.value.line == 3
-
-    def test_non_finite_feature_rejected(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        path.write_text("id,f0\n0,1.0\n1,inf\n")
-        with pytest.raises(ParseError) as err:
-            list(load_stream(str(path)))
-        assert err.value.line == 3
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -360,8 +354,14 @@ class TestCli:
             ("constraint = partition:a=x", None, "csv", "partition:a=x"),
             ("", ['{"id": "x"}'], "jsonl", "line 1"),
             ("knapsacks = 1", ['{"id": 0, "costs": ["a"]}'], "jsonl", "line 1"),
+            ("knapsacks = 1\neps = nan", None, "csv", "eps"),
+            ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
+            ("swap_margin = nan", None, "csv", "swap margin"),
         ],
-        ids=["k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id", "jsonl-cost"],
+        ids=[
+            "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
+            "jsonl-cost", "eps-nan", "capacity-nan", "margin-nan",
+        ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
         stream = tmp_path / f"stream.{fmt}"

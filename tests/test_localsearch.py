@@ -301,9 +301,11 @@ class TestGrid:
             assert instance.constraint.is_independent(final.elements)
             assert instance.knapsacks.feasible(final.elements)
 
-    def test_bad_alpha_fails_at_construction(self):
+    def test_bad_alpha_or_eps_fails_at_construction(self):
         with pytest.raises(ConfigError):
             self._grid(ModularOracle({}), alpha=1.5)
+        with pytest.raises(ConfigError):
+            self._grid(ModularOracle({}), eps=math.nan)
 
     def test_k_required_with_knapsacks(self):
         from streamls import PredicateOracle
