@@ -152,9 +152,9 @@ def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
                 eid = int(obj["id"])
                 features = [float(x) for x in obj.get("features") or []]
                 costs = [float(x) for x in obj.get("costs") or []]
+                groups = frozenset(str(g) for g in obj.get("groups") or [])
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), lineno) from None
-            groups = frozenset(str(g) for g in obj.get("groups") or [])
             yield finish(eid, features, costs, groups, lineno)
 
 
