@@ -93,6 +93,11 @@ class IndStreamInstance:
         return self._overflow
 
     @property
+    def frozen(self) -> bool:
+        """True once a knapsack overflow froze the instance; it never thaws."""
+        return self._frozen
+
+    @property
     def held(self) -> int:
         """Elements currently kept alive by this instance."""
         return len(self._solution) + (1 if self._overflow else 0)

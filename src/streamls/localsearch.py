@@ -75,7 +75,15 @@ class Selection:
 
 
 class ChainState:
-    """q chained backbone instances with discarded-element routing."""
+    """q chained backbone instances with discarded-element routing.
+
+    A frozen instance is a pass-through: the chain counts the batch as
+    processed and discarded by it and hands the batch on unchanged,
+    without calling it, so a fully frozen chain only bumps counters.
+    ``held`` is the stored sum of the instances' ``held``. It is recounted
+    only after a step that ran a live instance, because commit and freeze
+    are the only places an instance's ``held`` changes.
+    """
 
     def __init__(
         self,
@@ -100,17 +108,25 @@ class ChainState:
         )
         self.processed = 0
         self.dropped = 0
+        self.held = 0
         self.high_water = 0
-
-    @property
-    def held(self) -> int:
-        return sum(inst.held for inst in self.instances)
+        self._all_frozen = False
 
     def process(self, e: Element) -> None:
         """Route one stream element through the whole chain."""
         self.processed += 1
+        if self._all_frozen:
+            for inst in self.instances:
+                inst.processed += 1
+                inst.discarded_total += 1
+            self.dropped += 1
+            return
         batch: list[Element] = [e]
         for inst in self.instances:
+            if inst.frozen:
+                inst.processed += len(batch)
+                inst.discarded_total += len(batch)
+                continue
             discarded: list[Element] = []
             for x in sorted(batch, key=lambda el: el.id):
                 discarded.extend(inst.process(x, self.rho, self.knapsacks).discarded)
@@ -118,7 +134,10 @@ class ChainState:
             if not batch:
                 break
         self.dropped += len(batch)
+        # A live instance ran: only its commit or freeze can change held.
+        self.held = sum(inst.held for inst in self.instances)
         self.high_water = max(self.high_water, self.held)
+        self._all_frozen = all(inst.frozen for inst in self.instances)
 
     def finalize(self) -> Selection:
         """Best of all instance solutions and their pruned variants.
@@ -199,6 +218,7 @@ class GridState:
         self.m = 0.0
         self.e_m: Element | None = None
         self.runs: dict[int, ChainState] = {}
+        self._order: list[ChainState] = []  # the runs by ascending index
         self.processed = 0
         self.retired = 0
         self.high_water = 0
@@ -237,6 +257,20 @@ class GridState:
         hi = math.floor(math.log(gamma * self.k) / base + _CEIL_EPS)
         return lo, hi
 
+    def _move_window(self) -> None:
+        """Retire the runs below the window and open the missing ones in it."""
+        lo, hi = self._active_window()
+        for j in [j for j in self.runs if j < lo]:
+            self._retired_chain_high_water = max(
+                self._retired_chain_high_water, self.runs.pop(j).high_water
+            )
+            self.retired += 1
+        for j in range(lo, hi + 1):
+            if j not in self.runs:
+                self.runs[j] = self._new_chain(rho=(1.0 + self.eps) ** j)
+        self._order = [self.runs[j] for j in sorted(self.runs)]
+        self.max_active_runs = max(self.max_active_runs, len(self.runs))
+
     def process(self, e: Element) -> None:
         self.processed += 1
         if self.knapsacks.singleton_fits(e) and self.constraint.is_independent(
@@ -246,27 +280,19 @@ class GridState:
             if value > self.m:
                 self.m = value
                 self.e_m = e
-
-        if self.m > 0.0:
-            lo, hi = self._active_window()
-            for j in [j for j in self.runs if j < lo]:
-                self._retired_chain_high_water = max(
-                    self._retired_chain_high_water, self.runs.pop(j).high_water
-                )
-                self.retired += 1
-            for j in range(lo, hi + 1):
-                if j not in self.runs:
-                    self.runs[j] = self._new_chain(rho=(1.0 + self.eps) ** j)
-        for j in sorted(self.runs):
-            self.runs[j].process(e)
-        self.high_water = max(self.high_water, sum(c.held for c in self.runs.values()))
-        self.max_active_runs = max(self.max_active_runs, len(self.runs))
+                # The window depends on m alone, so it moves only here.
+                self._move_window()
+        held = 0
+        for chain in self._order:
+            chain.process(e)
+            held += chain.held
+        self.high_water = max(self.high_water, held)
 
     def finalize(self) -> Selection:
         """Best run result versus the best feasible singleton."""
         best: Selection | None = None
-        for j in sorted(self.runs):
-            candidate = self.runs[j].finalize()
+        for chain in self._order:
+            candidate = chain.finalize()
             if best is None or candidate.value > best.value:
                 best = candidate
         if self.e_m is not None:

@@ -365,7 +365,8 @@ class DecomposableOracle(ValueOracle):
     The exact objective is the mean of per-element components over the
     whole ground set; the oracle evaluates the mean over W instead.
     Components are rescaled once at construction so sampled magnitudes
-    stay within 1.
+    stay within 1. An empty ground set (an empty stream) needs no sample,
+    and every set is then worth 0.
     """
 
     def __init__(
@@ -377,7 +378,7 @@ class DecomposableOracle(ValueOracle):
         scale: float | None = None,
         probe_rng: random.Random | None = None,
     ):
-        if not sample:
+        if ground and not sample:
             raise ConfigError("sample W must be non-empty")
         self._components = dict(components)
         self._ground = list(ground)
@@ -417,17 +418,16 @@ class DecomposableOracle(ValueOracle):
         return self._components[eid](frozenset(elements)) / self._scale
 
     def value(self, elements: Iterable[Element]) -> float:
-        s = frozenset(elements)
-        return sum(self.component_value(e.id, s) for e in self._sample) / len(
-            self._sample
-        )
+        return self._mean(self._sample, frozenset(elements))
 
     def exact_value(self, elements: Iterable[Element]) -> float:
         """Mean over every ground component; the quantity ``value`` estimates."""
-        s = frozenset(elements)
-        return sum(self.component_value(e.id, s) for e in self._ground) / len(
-            self._ground
-        )
+        return self._mean(self._ground, frozenset(elements))
+
+    def _mean(self, over: list[Element], s: frozenset[Element]) -> float:
+        if not over:
+            return 0.0
+        return sum(self.component_value(e.id, s) for e in over) / len(over)
 
 
 def reservoir_sample(

@@ -55,8 +55,9 @@ def load_stream(
     CSV needs a header; ``id`` is required, ``cost_1..cost_d`` and
     ``groups`` (semicolon-separated labels) are recognized, any other
     column is a numeric feature. JSONL rows are objects with the same
-    keys (``costs`` as an array). Costs are divided by ``capacities``
-    when given. Costs must be finite and non-negative, features finite.
+    keys: ``id`` a JSON integer, ``features``, ``costs`` and ``groups``
+    JSON lists. Costs are divided by ``capacities`` when given. Costs
+    must be finite and non-negative, features finite.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown stream format {fmt!r}")
@@ -148,14 +149,31 @@ def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
                 raise ParseError("expected a json object", lineno)
             if "id" not in obj:
                 raise ParseError("missing required field 'id'", lineno)
+            eid = obj["id"]
+            if type(eid) is not int:  # also refuses bool, a subclass of int
+                raise ParseError(
+                    f"id must be a json integer, got {json.dumps(eid)}", lineno
+                )
             try:
-                eid = int(obj["id"])
-                features = [float(x) for x in obj.get("features") or []]
-                costs = [float(x) for x in obj.get("costs") or []]
-                groups = frozenset(str(g) for g in obj.get("groups") or [])
+                features = [float(x) for x in _json_list(obj, "features")]
+                costs = [float(x) for x in _json_list(obj, "costs")]
+                groups = frozenset(str(g) for g in _json_list(obj, "groups"))
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), lineno) from None
             yield finish(eid, features, costs, groups, lineno)
+
+
+def _json_list(obj: dict, key: str) -> list:
+    """A JSONL list field; absent or null reads as empty.
+
+    A string is refused rather than split into characters.
+    """
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a json list, got {json.dumps(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,17 @@ class TestCli:
     def test_run_empty_stream(self, tmp_path):
         stream = _write_stream(tmp_path, [], header="id")
         report = tmp_path / "out.txt"
-        config = _write_config(
-            tmp_path,
-            f"stream = {stream}\nobjective = coverage\nconstraint = uniform:2\n"
-            f"report = {report}\n",
-        )
-        assert main(["run", "--config", str(config)]) == 0
-        fields, _ = parse_report(str(report))
-        assert fields["selected"] == ()
-        assert fields["pushed"] == 0
+        for objective in ("coverage", "decomposable"):
+            config = _write_config(
+                tmp_path,
+                f"stream = {stream}\nobjective = {objective}\nconstraint = uniform:2\n"
+                f"report = {report}\n",
+            )
+            assert main(["run", "--config", str(config)]) == 0
+            fields, _ = parse_report(str(report))
+            assert fields["selected"] == ()
+            assert fields["pushed"] == 0
+            assert fields["value"] == 0.0
 
     def test_run_seqdpp_segments(self, tmp_path):
         kernel = tmp_path / "kernel.txt"
@@ -354,13 +356,20 @@ class TestCli:
             ("constraint = partition:a=x", None, "csv", "partition:a=x"),
             ("", ['{"id": "x"}'], "jsonl", "line 1"),
             ("knapsacks = 1", ['{"id": 0, "costs": ["a"]}'], "jsonl", "line 1"),
+            ("knapsacks = 1", ['{"id": 1.7, "costs": [0.1]}'], "jsonl", "line 1"),
+            ("knapsacks = 1", ['{"id": true, "costs": [0.1]}'], "jsonl", "line 1"),
+            ("", ['{"id": 0, "groups": "ab"}'], "jsonl", "line 1"),
+            ("", ['{"id": 0, "features": "12"}'], "jsonl", "line 1"),
+            ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
             ("swap_margin = nan", None, "csv", "swap margin"),
         ],
         ids=[
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
-            "jsonl-cost", "eps-nan", "capacity-nan", "margin-nan",
+            "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
+            "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
+            "margin-nan",
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):

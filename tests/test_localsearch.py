@@ -356,3 +356,165 @@ class TestSession:
             ModularOracle({}), UniformMatroid(2), KnapsackSpec(1), k=2, alpha=0.25
         )
         assert isinstance(grid.engine, GridState)
+
+
+class ReferenceChain(ChainState):
+    """Plain routing, the reference for the pass-through chain: every
+    element goes through every instance, frozen ones included, and
+    ``held`` is recounted on every push."""
+
+    def process(self, e):
+        self.processed += 1
+        batch = [e]
+        for inst in self.instances:
+            discarded = []
+            for x in sorted(batch, key=lambda el: el.id):
+                discarded.extend(inst.process(x, self.rho, self.knapsacks).discarded)
+            batch = discarded
+            if not batch:
+                break
+        self.dropped += len(batch)
+        self.held = sum(inst.held for inst in self.instances)
+        self.high_water = max(self.high_water, self.held)
+
+
+class ReferenceGrid(GridState):
+    """Moves the window and sums every run's ``held`` on every push."""
+
+    def _new_chain(self, rho):
+        return ReferenceChain(
+            self.oracle,
+            self.constraint,
+            alpha=self.alpha,
+            prune=self.prune,
+            swap_margin=self.swap_margin,
+            rho=rho,
+            knapsacks=self.knapsacks,
+        )
+
+    def process(self, e):
+        self.processed += 1
+        if self.knapsacks.singleton_fits(e) and self.constraint.is_independent(
+            frozenset({e})
+        ):
+            value = self.oracle.value(frozenset({e}))
+            if value > self.m:
+                self.m = value
+                self.e_m = e
+        if self.m > 0.0:
+            self._move_window()
+        for j in sorted(self.runs):
+            self.runs[j].process(e)
+        self.high_water = max(
+            self.high_water, sum(c.held for c in self.runs.values())
+        )
+
+
+def assert_conserved(chain):
+    solutions = [inst.current_solution() for inst in chain.instances]
+    union = frozenset().union(*solutions)
+    assert chain.processed == len(union) + chain.dropped
+    for inst, solution in zip(chain.instances, solutions):
+        assert inst.processed == len(solution) + inst.discarded_total
+
+
+class CountingOracle(ModularOracle):
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.calls = 0
+
+    def value(self, elements):
+        self.calls += 1
+        return super().value(elements)
+
+
+class CountingMatroid(UniformMatroid):
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.calls = 0
+
+    def is_independent(self, elements):
+        self.calls += 1
+        return super().is_independent(elements)
+
+
+class CountingKnapsacks(KnapsackSpec):
+    def __init__(self, d):
+        super().__init__(d)
+        self.calls = 0
+
+    def feasible(self, elements):
+        self.calls += 1
+        return super().feasible(elements)
+
+    def singleton_fits(self, e):
+        self.calls += 1
+        return super().singleton_fits(e)
+
+    def total_cost(self, e):
+        self.calls += 1
+        return super().total_cost(e)
+
+
+class TestFrozenPassThrough:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "prune", [DoubleGreedyConfig(), RANDOMIZED], ids=["deterministic", "randomized"]
+    )
+    def test_grid_matches_reference_routing(self, d, prune):
+        rng = random.Random(70 + d)
+        frozen_steps = 0
+        for trial in range(12):
+            instance = random_instance(rng, d=d)
+            options = dict(k=instance.k, eps=0.2, alpha=instance.alpha, prune=prune)
+            session = StreamingSession(
+                instance.oracle, instance.constraint, instance.knapsacks, **options
+            )
+            reference = ReferenceGrid(
+                instance.oracle, instance.constraint, instance.knapsacks, **options
+            )
+            grid = session.engine
+            marks = {len(instance.elements) // 3, 2 * len(instance.elements) // 3}
+            for i, e in enumerate(instance.elements):
+                session.push(e)
+                reference.process(e)
+                assert grid.high_water == reference.high_water
+                assert grid.stats() == reference.stats()
+                for chain in grid.runs.values():
+                    assert_conserved(chain)
+                    frozen_steps += sum(inst.frozen for inst in chain.instances)
+                if i in marks:
+                    assert session.snapshot() == reference.finalize()
+            report = session.close()
+            assert report.stats == reference.stats()
+            assert report.selection == reference.finalize()
+            assert grid.max_chain_high_water == reference.max_chain_high_water
+        assert frozen_steps > 0
+
+    def test_fully_frozen_chain_only_counts(self):
+        oracle = CountingOracle({i: 1.0 for i in range(1004)})
+        constraint = CountingMatroid(5)
+        knapsacks = CountingKnapsacks(1)
+        chain = ChainState(
+            oracle, constraint, alpha=0.25, rho=0.1, knapsacks=knapsacks
+        )
+        assert chain.q == 3
+        # Each element takes 0.6 of the one budget, so every instance
+        # accepts one and freezes on the next one offered to it.
+        for i in range(4):
+            chain.process(costed(i, 0.6))
+        assert all(inst.frozen for inst in chain.instances)
+        assert chain.dropped == 1
+        held = chain.held
+        assert held == 6  # one element and one overflow record each
+        oracle.calls = constraint.calls = knapsacks.calls = 0
+
+        for i in range(4, 1004):
+            chain.process(costed(i, 0.6))
+        assert (oracle.calls, constraint.calls, knapsacks.calls) == (0, 0, 0)
+        assert chain.processed == 1004
+        assert chain.dropped == 1001
+        assert chain.held == held
+        assert_conserved(chain)
+        assert [inst.processed for inst in chain.instances] == [1004, 1003, 1002]
+        assert [inst.discarded_total for inst in chain.instances] == [1003, 1002, 1001]

@@ -235,6 +235,11 @@ class TestDecomposable:
         with pytest.raises(ConfigError):
             DecomposableOracle({0: lambda s: 0.0}, ground, [])
 
+    def test_empty_ground_values_zero(self):
+        oracle = DecomposableOracle({}, [], [])
+        assert oracle.value(frozenset()) == 0.0
+        assert oracle.exact_value(frozenset()) == 0.0
+
     def test_scaling_bounds_components(self):
         ground = [Element(id=i) for i in range(4)]
         components = {i: (lambda s: 5.0 * len(s)) for i in range(4)}
