@@ -46,43 +46,6 @@ class UniformMatroid(IndependenceOracle):
         return self.limit
 
 
-class PartitionMatroid(IndependenceOracle):
-    """Per-block caps over disjoint group labels.
-
-    An element belongs to the block whose label appears in its groups;
-    elements carrying none of the declared labels are unconstrained.
-    """
-
-    def __init__(self, limits: Mapping[str, int]):
-        for label, limit in limits.items():
-            if limit < 0:
-                raise ConfigError(f"block {label!r} has negative limit")
-        self._limits = dict(limits)
-
-    def _block_of(self, e: Element) -> str | None:
-        hits = [label for label in self._limits if label in e.groups]
-        if len(hits) > 1:
-            raise DomainError(
-                f"element {e.id} lies in blocks {sorted(hits)}; blocks must be disjoint"
-            )
-        return hits[0] if hits else None
-
-    def is_independent(self, elements: AbstractSet[Element]) -> bool:
-        counts: dict[str, int] = {}
-        for e in elements:
-            block = self._block_of(e)
-            if block is None:
-                continue
-            counts[block] = counts.get(block, 0) + 1
-            if counts[block] > self._limits[block]:
-                return False
-        return True
-
-    @property
-    def rank_hint(self) -> int | None:
-        return sum(self._limits.values())
-
-
 class PredicateOracle(IndependenceOracle):
     """Opaque independence predicate for systems without structure."""
 
@@ -110,6 +73,7 @@ class Matchoid(IndependenceOracle):
     part ground is independent in that part. ``p`` is the maximum number
     of parts any single element belongs to — computed from id-set
     grounds, or supplied when label grounds make it unknowable upfront.
+    An element found in more than ``p`` parts raises ``DomainError``.
     """
 
     def __init__(
@@ -117,53 +81,80 @@ class Matchoid(IndependenceOracle):
         parts: Sequence[tuple[IndependenceOracle, frozenset[int] | str]],
         p: int | None = None,
     ):
-        if not parts:
+        # With a declared p no part is needed: PartitionMatroid({}) is one.
+        if not parts and p is None:
             raise ConfigError("a matchoid needs at least one part")
-        self._parts = [
-            (oracle, ground if isinstance(ground, str) else frozenset(ground))
-            for oracle, ground in parts
-        ]
-        if p is not None:
-            if p < 1:
-                raise ConfigError("p must be at least 1")
-            self.p = int(p)
-        else:
-            if any(isinstance(g, str) for _, g in self._parts):
-                # Label grounds are only known element by element.
-                self.p = len(self._parts)
+        self._oracles = [oracle for oracle, _ in parts]
+        # Ground -> part indices: finding an element's parts costs one
+        # lookup for its id and one per group label.
+        self._by_label: dict[str, tuple[int, ...]] = {}
+        self._by_id: dict[int, tuple[int, ...]] = {}
+        for i, (_, ground) in enumerate(parts):
+            if isinstance(ground, str):
+                self._by_label[ground] = self._by_label.get(ground, ()) + (i,)
             else:
-                multiplicity: dict[int, int] = {}
-                for _, ground in self._parts:
-                    for eid in ground:  # type: ignore[union-attr]
-                        multiplicity[eid] = multiplicity.get(eid, 0) + 1
-                self.p = max(multiplicity.values(), default=1)
+                for eid in ground:
+                    self._by_id[eid] = self._by_id.get(eid, ()) + (i,)
+        most = max(map(len, self._by_id.values())) if self._by_id else 1
+        if p is None:
+            # Label grounds are only known element by element.
+            p = len(parts) if self._by_label else most
+        elif p < 1:
+            raise ConfigError("p must be at least 1")
+        elif most > p:
+            raise ConfigError(f"an id lies in {most} part grounds but p is {p}")
+        self.p = int(p)
 
-    @property
-    def parts(self) -> list[tuple[IndependenceOracle, frozenset[int] | str]]:
-        return list(self._parts)
+    def _parts_of(self, e: Element) -> tuple[int, ...]:
+        found = self._by_id.get(e.id, ())
+        for label in e.groups:
+            found += self._by_label.get(label, ())
+        if len(found) > self.p:
+            raise DomainError(
+                f"element {e.id} lies in {len(found)} parts but p is {self.p}"
+            )
+        return found
 
-    @staticmethod
-    def _in_ground(e: Element, ground: frozenset[int] | str) -> bool:
-        if isinstance(ground, str):
-            return ground in e.groups
-        return e.id in ground
-
-    def restrict(self, elements: AbstractSet[Element], part: int) -> frozenset[Element]:
-        _, ground = self._parts[part]
-        return frozenset(e for e in elements if self._in_ground(e, ground))
+    def _members(self, elements: AbstractSet[Element]) -> dict[int, list[Element]]:
+        """Index of each part the elements touch -> those in its ground."""
+        members: dict[int, list[Element]] = {}
+        for e in elements:
+            for i in self._parts_of(e):
+                if i in members:
+                    members[i].append(e)
+                else:
+                    members[i] = [e]
+        return members
 
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
-        for i, (oracle, _) in enumerate(self._parts):
-            if not oracle.is_independent(self.restrict(elements, i)):
+        for i, local in self._members(elements).items():
+            if not self._oracles[i].is_independent(frozenset(local)):
                 return False
         return True
 
     @property
     def rank_hint(self) -> int | None:
-        hints = [oracle.rank_hint for oracle, _ in self._parts]
+        hints = [oracle.rank_hint for oracle in self._oracles]
         if any(h is None for h in hints):
             return None
         return sum(h for h in hints if h is not None)
+
+
+class PartitionMatroid(Matchoid):
+    """Per-block caps over group labels: a p = 1 matchoid of uniform parts.
+
+    An element belongs to the block whose label appears in its groups;
+    elements carrying none of the declared labels are unconstrained, and
+    one carrying two raises ``DomainError``.
+    """
+
+    def __init__(self, limits: Mapping[str, int]):
+        for label, limit in limits.items():
+            if limit < 0:
+                raise ConfigError(f"block {label!r} has negative limit")
+        super().__init__(
+            [(UniformMatroid(limit), label) for label, limit in limits.items()], p=1
+        )
 
 
 class KnapsackSpec:
@@ -182,10 +173,6 @@ class KnapsackSpec:
         return e.costs
 
     def feasible(self, elements: AbstractSet[Element]) -> bool:
-        if self.d == 0:
-            for e in elements:
-                self._costs(e)
-            return True
         totals = [0.0] * self.d
         for e in elements:
             for j, c in enumerate(self._costs(e)):
@@ -263,11 +250,11 @@ def exchange_candidates(
         return [frozenset()]
 
     if isinstance(oracle, Matchoid):
+        members = oracle._members(s)
         out: list[frozenset[Element]] = []
-        for i, (part, ground) in enumerate(oracle.parts):
-            if not Matchoid._in_ground(e, ground):
-                continue
-            local = oracle.restrict(grown, i)
+        for i in sorted(oracle._parts_of(e)):
+            part = oracle._oracles[i]
+            local = frozenset(members.get(i, ())) | {e}
             if part.is_independent(local):
                 continue
             candidates = frozenset(

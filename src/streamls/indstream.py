@@ -19,7 +19,6 @@ from .constraints import (
     IndependenceOracle,
     KnapsackSpec,
     Matchoid,
-    PartitionMatroid,
     UniformMatroid,
     exchange_candidates,
 )
@@ -31,7 +30,7 @@ def backbone_alpha(constraint: IndependenceOracle) -> float | None:
     """Declared approximation factor of the swap backbone: 1/(4p)."""
     if isinstance(constraint, Matchoid):
         return 1.0 / (4.0 * constraint.p)
-    if isinstance(constraint, (UniformMatroid, PartitionMatroid)):
+    if isinstance(constraint, UniformMatroid):
         return 0.25
     return None
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamls import (
     ConfigError,
@@ -18,6 +20,7 @@ from streamls import (
     exchange_candidates,
     normalize_costs,
 )
+from streamls.streamio import build_constraint
 
 
 def labeled(i, *labels):
@@ -74,6 +77,30 @@ class TestMatroids:
                 sum(1 for _, g in parts if i in g) for i in range(n)
             )
             assert matchoid.p == max(expected, 1)
+
+    def test_explicit_p_below_multiplicity_rejected(self):
+        # Label grounds: found element by element, when it is tested.
+        matchoid = build_constraint("matchoid:a=1;b=1;p=1")
+        assert matchoid.is_independent(frozenset({labeled(0, "a"), labeled(1, "b")}))
+        with pytest.raises(DomainError):
+            matchoid.is_independent(frozenset({labeled(2, "a", "b")}))
+        with pytest.raises(DomainError):
+            exchange_candidates(matchoid, frozenset({labeled(0, "a")}), labeled(2, "a", "b"))
+        # Id-set grounds: known up front, so construction fails.
+        with pytest.raises(ConfigError):
+            Matchoid(
+                [(UniformMatroid(1), frozenset({0, 1})), (UniformMatroid(1), frozenset({1, 2}))],
+                p=1,
+            )
+
+    def test_empty_systems(self):
+        # An empty partition is legal and constrains nothing; an empty
+        # matchoid without a declared p is not.
+        empty = PartitionMatroid({})
+        assert empty.is_independent(frozenset(labeled(i, "b1") for i in range(5)))
+        assert empty.rank_hint == 0
+        with pytest.raises(ConfigError):
+            Matchoid([])
 
     def test_matchoid_rank_hint_sums_parts(self):
         matchoid = Matchoid(
@@ -139,6 +166,10 @@ class TestKnapsacks:
         spec = KnapsackSpec(2)
         with pytest.raises(DomainError):
             spec.feasible(frozenset({costed(0, 0.5)}))
+        no_budget = KnapsackSpec(0)
+        with pytest.raises(DomainError):
+            no_budget.feasible(frozenset({costed(0, 0.5)}))
+        assert no_budget.feasible(frozenset({Element(id=1)}))
 
     def test_monotone_under_subsets(self):
         rng = random.Random(3)
@@ -215,6 +246,12 @@ class TestExchangeCandidates:
                 frozenset({Element(id=1), Element(id=2)}),
                 Element(id=3),
             )
+        partition = PartitionMatroid({"b1": 1})
+        b = labeled(1, "b1")
+        with pytest.raises(PreconditionError):
+            exchange_candidates(partition, frozenset({b}), b)
+        with pytest.raises(PreconditionError):
+            exchange_candidates(partition, frozenset({b, labeled(2, "b1")}), labeled(3))
 
     def test_opaque_predicate_oracle_single_part(self):
         forbidden = frozenset({0, 1})
@@ -225,3 +262,77 @@ class TestExchangeCandidates:
         out = exchange_candidates(oracle, frozenset({a, c}), b)
         assert out == [frozenset({a})]
         assert oracle.rank_hint == 3
+
+
+DECLARED = ("b0", "b1", "b2", "b3")
+UNDECLARED = ("u0", "u1")
+
+
+@st.composite
+def partition_cases(draw):
+    """Random limits, and elements with at most one declared label each."""
+    limits = draw(
+        st.dictionaries(st.sampled_from(DECLARED), st.integers(0, 3), max_size=len(DECLARED))
+    )
+    pool = []
+    for i in range(draw(st.integers(1, 12))):
+        labels = set(draw(st.sets(st.sampled_from(UNDECLARED))))
+        declared = draw(st.sampled_from((None,) + DECLARED))
+        if declared is not None:
+            labels.add(declared)
+        pool.append(Element(id=i, groups=frozenset(labels)))
+    chosen = draw(st.sets(st.integers(0, len(pool) - 1)))
+    return limits, pool, frozenset(pool[i] for i in chosen)
+
+
+def block_count_independent(limits, elements):
+    for label, limit in limits.items():
+        if sum(1 for e in elements if label in e.groups) > limit:
+            return False
+    return True
+
+
+class CountingPartition(PartitionMatroid):
+    whole_set_tests = 0
+
+    def is_independent(self, elements):
+        self.whole_set_tests += 1
+        return super().is_independent(elements)
+
+
+class TestPartitionAsMatchoid:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_cases())
+    def test_matches_block_count_and_generic_exchange(self, case):
+        limits, pool, subset = case
+        partition = CountingPartition(limits)
+        # The same system spelled as a label matchoid with p = 1.
+        spelled = Matchoid([(UniformMatroid(n), label) for label, n in limits.items()], p=1)
+        expected = block_count_independent(limits, subset)
+        assert partition.is_independent(subset) == expected
+        assert spelled.is_independent(subset) == expected
+        assert partition.rank_hint == sum(limits.values())
+        if not expected:
+            return
+        generic = PredicateOracle(partition.is_independent)
+        for e in pool:
+            if e not in subset:
+                want = exchange_candidates(generic, subset, e)
+                before = partition.whole_set_tests
+                assert exchange_candidates(partition, subset, e) == want
+                # Block-local: S and S + e are tested whole, no member one by one.
+                assert partition.whole_set_tests - before == 2
+                assert exchange_candidates(spelled, subset, e) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(partition_cases(), st.sets(st.sampled_from(DECLARED), min_size=2))
+    def test_two_declared_labels_raise(self, case, labels):
+        limits, pool, subset = case
+        limits = {**limits, **{label: limits.get(label, 1) for label in labels}}
+        straddler = Element(id=len(pool), groups=frozenset(labels))
+        for oracle in (
+            PartitionMatroid(limits),
+            Matchoid([(UniformMatroid(n), label) for label, n in limits.items()], p=1),
+        ):
+            with pytest.raises(DomainError):
+                oracle.is_independent(subset | {straddler})

@@ -13,6 +13,7 @@ from streamls import (
     KnapsackSpec,
     Matchoid,
     ModularOracle,
+    PartitionMatroid,
     PreconditionError,
     UniformMatroid,
     backbone_alpha,
@@ -84,6 +85,7 @@ class TestSwapRule:
 
     def test_declared_alpha(self):
         assert backbone_alpha(UniformMatroid(3)) == 0.25
+        assert backbone_alpha(PartitionMatroid({"a": 1, "b": 2})) == 0.25
         matchoid = Matchoid(
             [(UniformMatroid(1), frozenset({0, 1})), (UniformMatroid(1), frozenset({1, 2}))]
         )

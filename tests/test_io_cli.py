@@ -364,12 +364,18 @@ class TestCli:
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
             ("swap_margin = nan", None, "csv", "swap margin"),
+            (
+                "constraint = matchoid:a=1;b=1;p=1",
+                ["id,groups", "0,a", "1,a;b"],
+                "csv",
+                "element 1 lies in 2 parts but p is 1",
+            ),
         ],
         ids=[
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
             "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
-            "margin-nan",
+            "margin-nan", "matchoid-p",
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
