@@ -1,4 +1,4 @@
-"""Command line front end: run a stream, verify guarantees, or benchmark.
+"""Command line front end: run a stream or verify guarantees.
 
 Exit codes: 0 on success, 1 when a guarantee or invariant is violated,
 2 on usage, configuration or parse problems.
@@ -7,16 +7,13 @@ Exit codes: 0 on success, 1 when a guarantee or invariant is violated,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 
 from . import verify as verify_mod
-from .constraints import KnapsackSpec, UniformMatroid
+from .constraints import KnapsackSpec
 from .errors import StreamLsError
 from .localsearch import StreamingSession
-from .objectives import CoverageOracle, Element
-from .unconstrained import DoubleGreedyConfig
 from .streamio import (
     RunConfig,
     SegmentedDppSession,
@@ -50,8 +47,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     session: SegmentedDppSession | StreamingSession
     if cfg.objective == "seqdpp":
-        if cfg.segment < 1:
-            raise StreamLsError("seqdpp runs need 'segment' >= 1")
         assert kernel is not None
         session = SegmentedDppSession(
             kernel,
@@ -95,72 +90,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials:
-        results = [
-            verify_mod.check_guarantee_formulas(),
-            verify_mod.check_alg1_bound(trials=args.trials, seed=args.seed + 1),
-            verify_mod.check_alg2_bound(trials=args.trials, seed=args.seed + 2),
-            verify_mod.check_backbone_monotone(trials=args.trials, seed=args.seed + 3),
-            verify_mod.check_double_greedy_deterministic(
-                trials=args.trials, seed=args.seed + 4
-            ),
-            verify_mod.check_anytime(seed=args.seed + 9),
-        ]
-    else:
-        results = verify_mod.run_all(quick=args.quick, seed=args.seed)
+    results = verify_mod.run_all(quick=args.quick, seed=args.seed, trials=args.trials)
     ok = True
     for result in results:
         print(result.line())
         ok = ok and result.passed
     return 0 if ok else 1
-
-
-def _bench_stream(n: int, seed: int) -> tuple[list[Element], CoverageOracle]:
-    rng = random.Random(seed)
-    covers = {i: rng.sample(range(64), rng.randint(1, 4)) for i in range(n)}
-    elements = [
-        Element(id=i, costs=(rng.uniform(0.01, 0.3),), groups=frozenset())
-        for i in range(n)
-    ]
-    return elements, CoverageOracle(covers)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    n = args.elements
-    randomized = DoubleGreedyConfig(mode="randomized", seed=args.seed)
-    # Chain depth: alpha pins q = ceil(sqrt(2 beta / alpha) + 1).
-    # Grid width: eps controls the number of parallel threshold runs.
-    scenarios = [
-        ("chain-depth", q, dict(alpha=alpha, prune=randomized))
-        for alpha, q in ((1.0, 2), (0.25, 3), (1.0 / 16.0, 5))
-    ] + [
-        ("grid-eps", eps, dict(knapsacks=KnapsackSpec(1), k=10, eps=eps, alpha=0.25))
-        for eps in (1.0, 0.5, 0.2)
-    ]
-    table: list[dict[str, object]] = []
-    for scenario, param, options in scenarios:
-        elements, oracle = _bench_stream(n, args.seed)
-        session = StreamingSession(oracle, UniformMatroid(10), **options)
-        start = time.perf_counter()
-        for e in elements:
-            session.push(e)
-        elapsed = time.perf_counter() - start
-        table.append(
-            {
-                "scenario": scenario,
-                "param": param,
-                "elements": n,
-                "microseconds_per_element": 1e6 * elapsed / n,
-            }
-        )
-
-    columns = list(table[0])
-    print("\t".join(columns))
-    for row in table:
-        print("\t".join(str(row[c]) for c in columns))
-    if args.output:
-        write_report(args.output, {"elements": n}, table)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--quick", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="per-element update-time table")
-    p_bench.add_argument("--elements", type=int, default=2000)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--output")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

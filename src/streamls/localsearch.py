@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError
@@ -375,10 +374,6 @@ class StreamingSession:
         self._engine.process(e)
         self.seconds_total += time.perf_counter() - start
         self.pushed += 1
-
-    def push_all(self, elements: Iterable[Element]) -> None:
-        for e in elements:
-            self.push(e)
 
     def snapshot(self) -> Selection:
         """Current best selection; does not disturb the stream state."""

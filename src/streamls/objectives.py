@@ -64,12 +64,6 @@ class ValueOracle(ABC):
     def value(self, elements: Iterable[Element]) -> float:
         """Return f(S). Must be deterministic for a fixed oracle."""
 
-    def gain(self, e: Element, base: AbstractSet[Element]) -> float:
-        """Marginal gain f(S + e) - f(S). May be negative."""
-        if e in base:
-            raise PreconditionError(f"element {e.id} already in the base set")
-        return self.value(set(base) | {e}) - self.value(base)
-
 
 class ModularOracle(ValueOracle):
     """Additive weights; the equality case of diminishing returns."""
@@ -111,7 +105,9 @@ class CoverageOracle(ValueOracle):
 class CutOracle(ValueOracle):
     """Weighted undirected cut: f(S) = weight of edges leaving S.
 
-    Symmetric and non-monotone; f(empty) = f(all nodes) = 0.
+    Symmetric and non-monotone; f(empty) = f(all nodes) = 0. Weights
+    must be finite and non-negative: a negative weight breaks
+    submodularity.
     """
 
     def __init__(
@@ -121,7 +117,11 @@ class CutOracle(ValueOracle):
     ):
         self._edges = [(int(u), int(v), float(w)) for u, v, w in edges]
         known = set() if nodes is None else set(nodes)
-        for u, v, _ in self._edges:
+        for u, v, w in self._edges:
+            if not 0.0 <= w < math.inf:
+                raise ConfigError(
+                    f"edge ({u}, {v}) weight {w} is negative or not finite"
+                )
             known.add(u)
             known.add(v)
         self._nodes = frozenset(known)
@@ -210,8 +210,11 @@ def load_kernel(path: str, offset: float = 0.0) -> DppKernel:
         tokens = fh.read().split()
     if not tokens:
         raise ConfigError(f"{path}: empty kernel file")
-    n = int(tokens[0])
-    values = [float(t) for t in tokens[1:]]
+    try:
+        n = int(tokens[0])
+        values = [float(t) for t in tokens[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if len(values) != n * n:
         raise ConfigError(f"{path}: expected {n * n} entries, found {len(values)}")
     return DppKernel(np.array(values).reshape(n, n), offset=offset)

@@ -230,11 +230,6 @@ def _kv_lines(path: str) -> Iterator[tuple[int, str, str]]:
             yield lineno, key.strip(), value.strip()
 
 
-def parse_kv_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    return {key: value for _, key, value in _kv_lines(path)}
-
-
 @dataclass
 class RunConfig:
     stream: str = ""
@@ -377,8 +372,13 @@ def build_objective(
                     continue
                 if len(fields) not in (2, 3):
                     raise ParseError("expected 'u v [weight]'", lineno)
-                w = float(fields[2]) if len(fields) == 3 else 1.0
-                edge_list.append((int(fields[0]), int(fields[1]), w))
+                try:
+                    w = float(fields[2]) if len(fields) == 3 else 1.0
+                    edge_list.append((int(fields[0]), int(fields[1]), w))
+                except ValueError:
+                    raise ParseError(
+                        f"malformed edge {line.strip()!r}", lineno
+                    ) from None
         return CutOracle(edge_list, nodes=[e.id for e in elements]), None
     if cfg.objective in ("logdet", "seqdpp"):
         if not cfg.kernel:
@@ -420,22 +420,15 @@ class SegmentedDppSession:
         segment_size: int,
         constraint_factory,
         knapsacks: KnapsackSpec | None = None,
-        *,
-        k: int | None = None,
-        eps: float = 0.2,
-        alpha: float | None = None,
-        prune: DoubleGreedyConfig = DoubleGreedyConfig(),
-        swap_margin: float = 1.0,
+        **options,
     ):
+        """``options`` are ``StreamingSession``'s keyword options."""
         if segment_size < 1:
             raise ConfigError("segment size must be at least 1")
         self.kernel = kernel
         self.segment_size = segment_size
         self._constraint_factory = constraint_factory
-        self._session_kwargs = dict(
-            knapsacks=knapsacks, k=k, eps=eps, alpha=alpha, prune=prune,
-            swap_margin=swap_margin,
-        )
+        self._options = dict(options, knapsacks=knapsacks)
         self.prev: frozenset[Element] = frozenset()
         self.selected: set[Element] = set()
         self.conditional_total = 0.0
@@ -448,9 +441,7 @@ class SegmentedDppSession:
 
     def _open_segment(self) -> StreamingSession:
         oracle = SequentialDppOracle(self.kernel, prev=self.prev)
-        return StreamingSession(
-            oracle, self._constraint_factory(), **self._session_kwargs
-        )
+        return StreamingSession(oracle, self._constraint_factory(), **self._options)
 
     def _close_segment(self) -> None:
         selection = self._segment_session.snapshot()
@@ -527,47 +518,22 @@ def parse_value(text: str):
     return text
 
 
-def write_report(
-    path: str,
-    fields: dict[str, object],
-    table: Sequence[dict[str, object]] | None = None,
-) -> None:
-    """Line-delimited ``key = value`` report plus an optional TSV table."""
+def write_report(path: str, fields: dict[str, object]) -> None:
+    """Line-delimited ``key = value`` report."""
     with open(path, "w") as fh:
         for key, value in fields.items():
             fh.write(f"{key} = {format_value(value)}\n")
-        if table:
-            columns = list(table[0])
-            fh.write("\n[table]\n")
-            fh.write("\t".join(columns) + "\n")
-            for row in table:
-                fh.write("\t".join(format_value(row[c]) for c in columns) + "\n")
 
 
-def parse_report(path: str) -> tuple[dict[str, object], list[dict[str, object]]]:
+def parse_report(path: str) -> dict[str, object]:
     fields: dict[str, object] = {}
-    table: list[dict[str, object]] = []
-    columns: list[str] | None = None
-    in_table = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.strip() == "[table]":
-                in_table = True
-                continue
-            if in_table:
-                cells = line.split("\t")
-                if columns is None:
-                    columns = cells
-                else:
-                    table.append(
-                        {c: parse_value(v) for c, v in zip(columns, cells)}
-                    )
+            line = raw.strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ParseError(f"expected 'key = value', found {line!r}", lineno)
             key, value = line.split("=", 1)
             fields[key.strip()] = parse_value(value)
-    return fields, table
+    return fields

@@ -22,6 +22,7 @@ from .constraints import (
     PartitionMatroid,
     UniformMatroid,
 )
+from .errors import ConfigError
 from .indstream import IndStreamInstance
 from .localsearch import ChainState, GridState, StreamingSession, guarantee_bound
 from .objectives import (
@@ -545,25 +546,32 @@ def check_anytime(seed: int = 9, trials: int = 20) -> CheckResult:
     return CheckResult("anytime-snapshots", trials, violations, 0.0)
 
 
-def run_all(quick: bool = False, seed: int = 0) -> list[CheckResult]:
+def run_all(quick: bool = False, seed: int = 0, trials: int = 0) -> list[CheckResult]:
+    """Every check; a non-zero ``trials`` replaces each check's count.
+
+    For conservation the count is the number of 1,000-element checkpoints.
+    """
+    if trials < 0:
+        raise ConfigError(f"trials must be non-negative, got {trials}")
     scale = 0.2 if quick else 1.0
 
-    def n(x: int) -> int:
-        return max(10, int(x * scale))
+    def n(x: int, floor: int = 10) -> int:
+        return max(floor, int(x * scale))
+
+    def count(x: int, floor: int = 10) -> int:
+        return trials or n(x, floor)
 
     return [
         check_guarantee_formulas(),
-        check_alg1_bound(trials=n(300), seed=seed + 1),
-        check_alg2_bound(trials=n(300), seed=seed + 2),
-        check_backbone_monotone(trials=n(200), seed=seed + 3),
-        check_double_greedy_deterministic(trials=n(300), seed=seed + 4),
+        check_alg1_bound(trials=count(300), seed=seed + 1),
+        check_alg2_bound(trials=count(300), seed=seed + 2),
+        check_backbone_monotone(trials=count(200), seed=seed + 3),
+        check_double_greedy_deterministic(trials=count(300), seed=seed + 4),
         check_double_greedy_randomized(
-            instances=max(5, int(25 * scale)), seeds=n(500), seed=seed + 5
+            instances=count(25, 5), seeds=n(500), seed=seed + 5
         ),
-        check_memory_accounting(trials=max(10, int(40 * scale)), seed=seed + 6),
-        check_conservation(
-            stream_size=20_000 if quick else 100_000, seed=seed + 7
-        ),
-        check_decomposable(trials=n(100), seed=seed + 8),
-        check_anytime(seed=seed + 9, trials=max(6, int(20 * scale))),
+        check_memory_accounting(trials=count(40), seed=seed + 6),
+        check_conservation(stream_size=1_000 * count(100, 20), seed=seed + 7),
+        check_decomposable(trials=count(100), seed=seed + 8),
+        check_anytime(seed=seed + 9, trials=count(20, 6)),
     ]

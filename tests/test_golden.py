@@ -130,7 +130,7 @@ def _run(root: Path, name: str) -> dict[str, str]:
     config = case / "run.cfg"
     config.write_text(text + f"report = {report}\n")
     assert main(["run", "--config", str(config)]) == 0
-    fields, _ = parse_report(str(report))
+    fields = parse_report(str(report))
     return {
         key: repr(value)
         for key, value in fields.items()

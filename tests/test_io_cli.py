@@ -13,7 +13,6 @@ from streamls.streamio import (
     RunConfig,
     build_constraint,
     load_stream,
-    parse_kv_file,
     parse_report,
     summary_metrics,
     write_report,
@@ -142,29 +141,24 @@ class TestReports:
             "pushed": 12,
             "empty": (),
         }
-        table = [
-            {"scenario": "chain-depth", "param": 2, "us": 1.5},
-            {"scenario": "chain-depth", "param": 3, "us": 2.25},
-        ]
-        write_report(str(path), fields, table)
-        parsed_fields, parsed_table = parse_report(str(path))
-        assert parsed_fields == fields
-        assert parsed_table == table
+        write_report(str(path), fields)
+        assert parse_report(str(path)) == fields
 
     def test_float_precision_survives(self, tmp_path):
         path = tmp_path / "report.txt"
         value = math.pi / 7
         write_report(str(path), {"value": value})
-        parsed, _ = parse_report(str(path))
-        assert parsed["value"] == value
+        assert parse_report(str(path))["value"] == value
 
 
 class TestConfig:
     def test_kv_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nobjective = cut\nknapsacks = 2\neps = 0.5\n")
-        raw = parse_kv_file(str(path))
-        assert raw == {"objective": "cut", "knapsacks": "2", "eps": "0.5"}
+        path.write_text(
+            "# comment\nobjective = cut  # trailing\n\nknapsacks = 2\neps = 0.5\n"
+        )
+        cfg = RunConfig.from_file(str(path))
+        assert (cfg.objective, cfg.knapsacks, cfg.eps) == ("cut", 2, 0.5)
 
     def test_run_config_types(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -220,7 +214,7 @@ class TestCli:
             f"knapsacks = 1\nk = 2\nreport = {report}\nreferences = 0,2|1\n",
         )
         assert main(["run", "--config", str(config)]) == 0
-        fields, _ = parse_report(str(report))
+        fields = parse_report(str(report))
         assert fields["pushed"] == 4
         assert 0.0 < fields["seconds_total"] <= fields["seconds_wall"]
         assert 0.0 <= fields["f_score"] <= 1.0
@@ -238,7 +232,7 @@ class TestCli:
                 f"report = {report}\n",
             )
             assert main(["run", "--config", str(config)]) == 0
-            fields, _ = parse_report(str(report))
+            fields = parse_report(str(report))
             assert fields["selected"] == ()
             assert fields["pushed"] == 0
             assert fields["value"] == 0.0
@@ -260,7 +254,7 @@ class TestCli:
             f"segment = 2\nconstraint = uniform:1\nreport = {report}\n",
         )
         assert main(["run", "--config", str(config)]) == 0
-        fields, _ = parse_report(str(report))
+        fields = parse_report(str(report))
         assert fields["segments"] == 2
         assert fields["high_water"] >= 1
         assert 0.0 < fields["seconds_total"] <= fields["seconds_wall"]
@@ -277,7 +271,7 @@ class TestCli:
             f"constraint = uniform:2\nknapsacks = 1\nk = 2\nreport = {report}\n",
         )
         assert main(["run", "--config", str(config)]) == 0
-        fields, _ = parse_report(str(report))
+        fields = parse_report(str(report))
         assert fields["value"] >= 0.0
 
     def test_run_cut_objective(self, tmp_path):
@@ -302,9 +296,16 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
 
     def test_verify_exits_zero(self, capsys):
-        assert main(["verify", "--trials", "15", "--seed", "5"]) == 0
+        assert main(["verify", "--trials", "5", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_verify_trials_reach_every_check(self, capsys):
+        assert main(["verify", "--trials", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        # Every check but the closed-form one runs the requested count.
+        assert sum(": 5 trials," in line for line in lines) == 9
 
     def test_verify_exits_one_on_violation(self, capsys, monkeypatch):
         from streamls import cli
@@ -315,21 +316,14 @@ class TestCli:
             "check_alg1_bound",
             lambda **kwargs: CheckResult("alg1-end-to-end-bound", 5, 2, -0.1),
         )
-        assert main(["verify", "--trials", "10"]) == 1
+        assert main(["verify", "--trials", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_bench_table(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.txt"
-        assert main(["bench", "--elements", "300", "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "chain-depth" in out and "grid-eps" in out
-        _, table = parse_report(str(out_path))
-        assert len(table) == 6
-        assert all(row["microseconds_per_element"] > 0 for row in table)
 
     def test_usage_error_exit_code(self):
         assert main(["run"]) == 2
         assert main(["frobnicate"]) == 2
+        assert main(["bench"]) == 2
+        assert main(["verify", "--trials", "-3"]) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         config = _write_config(tmp_path, "objective = warp\nstream = missing.csv\n")
@@ -384,6 +378,38 @@ class TestCli:
         config = _write_config(
             tmp_path,
             f"stream = {stream}\nformat = {fmt}\nobjective = coverage\n{setting}\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+
+    @pytest.mark.parametrize(
+        "setting, key, text, needle",
+        [
+            ("objective = cut", "edges", "0 x", "line 1: malformed edge '0 x'"),
+            ("objective = cut", "edges", "0 1 nan", "weight nan"),
+            ("objective = cut", "edges", "0 1 -2", "weight -2.0"),
+            (
+                "objective = logdet", "kernel", "2\n1 0 0 y",
+                "data.txt: could not convert string to float: 'y'",
+            ),
+            (
+                "objective = logdet", "kernel", "x",
+                "data.txt: invalid literal for int() with base 10: 'x'",
+            ),
+            ("objective = seqdpp\nsegment = 0", "kernel", "1\n1.0", "segment"),
+        ],
+        ids=[
+            "edges-int", "edges-nan", "edges-negative", "kernel-entry",
+            "kernel-size", "segment-zero",
+        ],
+    )
+    def test_malformed_files_exit_two(self, tmp_path, capsys, setting, key, text, needle):
+        data = tmp_path / "data.txt"
+        data.write_text(text + "\n")
+        stream = _write_stream(tmp_path, ["0,0.2,a"])
+        config = _write_config(
+            tmp_path, f"stream = {stream}\n{setting}\n{key} = {data}\n"
         )
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err

@@ -46,7 +46,7 @@ class TestCoverageAndCut:
 
     def test_first_pick_gain_is_cover_size(self):
         oracle = CoverageOracle({0: {1, 2}, 1: {2, 3}})
-        assert oracle.gain(Element(id=0), frozenset()) == 2.0
+        assert oracle.value(elems(0)) - oracle.value(frozenset()) == 2.0
 
     def test_unknown_element_rejected(self):
         oracle = CoverageOracle({0: {1}})
@@ -60,20 +60,12 @@ class TestCoverageAndCut:
 
     def test_closing_the_cut_has_negative_gain(self):
         oracle = CutOracle([(0, 1, 1.0)])
-        assert oracle.gain(Element(id=1), elems(0)) == -1.0
+        assert oracle.value(elems(0, 1)) - oracle.value(elems(0)) == -1.0
 
-    def test_gain_requires_absent_element(self):
-        oracle = CutOracle([(0, 1, 1.0)])
-        with pytest.raises(PreconditionError):
-            oracle.gain(Element(id=0), elems(0))
-
-    def test_gain_identity(self):
-        rng = random.Random(7)
-        oracle = CoverageOracle({i: rng.sample(range(9), 3) for i in range(7)})
-        for _ in range(50):
-            base = frozenset(Element(id=i) for i in rng.sample(range(7), 3))
-            e = Element(id=rng.choice([i for i in range(7) if Element(id=i) not in base]))
-            assert oracle.gain(e, base) + oracle.value(base) == oracle.value(base | {e})
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+    def test_cut_rejects_negative_and_non_finite_weights(self, weight):
+        with pytest.raises(ConfigError):
+            CutOracle([(0, 1, 1.0), (1, 2, weight)])
 
 
 class TestLogDet:
@@ -91,7 +83,8 @@ class TestLogDet:
 
     def test_marginal_gain_is_log_ratio(self):
         oracle = LogDetOracle(DppKernel(np.diag([2.0, 3.0])))
-        assert oracle.gain(Element(id=1), elems(0)) == pytest.approx(math.log(3.0))
+        gain = oracle.value(elems(0, 1)) - oracle.value(elems(0))
+        assert gain == pytest.approx(math.log(3.0))
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(42)
