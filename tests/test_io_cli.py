@@ -1,13 +1,14 @@
 """Stream parsing, metrics, report round-trips and the CLI commands."""
 
+import dataclasses
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from streamls import ConfigError, Element, ParseError
+from streamls import ConfigError, Element, IndependenceOracle, ParseError
 from streamls.cli import main
 from streamls.streamio import (
     RunConfig,
@@ -187,6 +188,68 @@ class TestConfig:
         assert matchoid.p == 2
         with pytest.raises(ConfigError):
             build_constraint("lattice:3")
+
+
+# Integers stay small (|n| <= 1000) so that no example allocates much;
+# free text is at most three characters, so it spells no larger number.
+_SMALL_INT = st.integers(-1000, 1000).map(str)
+_FREE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+_NUMBER = st.one_of(
+    _SMALL_INT,
+    st.floats().map(repr),
+    st.sampled_from(["auto", "nan", "inf", "-inf", "-0.0", "1e-300", ""]),
+)
+_LIST = st.lists(st.one_of(_NUMBER, _FREE_TEXT), max_size=4)
+_CONFIG_VALUE = st.one_of(
+    _NUMBER,
+    _FREE_TEXT,
+    _LIST.map(",".join),
+    st.lists(_LIST.map(",".join), max_size=3).map("|".join),
+)
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)] + ["nonsense"]
+
+_SPEC_BODY = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["a", "b", "p", ""]), _FREE_TEXT),
+        st.sampled_from(["=", ""]),
+        st.one_of(_SMALL_INT, _FREE_TEXT),
+    ).map("".join),
+    max_size=4,
+)
+_SPEC = st.tuples(
+    st.one_of(st.sampled_from(["none", "uniform", "partition", "matchoid", ""]), _FREE_TEXT),
+    st.sampled_from([":", ""]),
+    _SPEC_BODY,
+    st.sampled_from([",", ";"]),
+).map(lambda t: t[0] + t[1] + t[3].join(t[2]))
+
+
+class TestConfigFuzz:
+    """Any config text parses to a value or fails with a config/parse error."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUE), max_size=8))
+    def test_run_config_parses_or_refuses(self, tmp_path, lines):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        try:
+            cfg = RunConfig.from_file(str(path))
+        except (ConfigError, ParseError):
+            return
+        assert isinstance(cfg, RunConfig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SPEC)
+    def test_constraint_spec_builds_or_refuses(self, spec):
+        try:
+            constraint = build_constraint(spec)
+        except ConfigError:
+            return
+        assert isinstance(constraint, IndependenceOracle)
 
 
 def _write_stream(tmp_path, rows, header="id,cost_1,groups"):
