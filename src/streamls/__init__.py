@@ -17,7 +17,6 @@ from .constraints import (
     PredicateOracle,
     UniformMatroid,
     exchange_candidates,
-    normalize_costs,
 )
 from .errors import (
     CapacityError,
@@ -111,7 +110,6 @@ __all__ = [
     "load_kernel",
     "load_stream",
     "logdet_value",
-    "normalize_costs",
     "parse_report",
     "reservoir_sample",
     "sample_size_bound",

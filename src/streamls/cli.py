@@ -23,42 +23,32 @@ from .streamio import (
     summary_metrics,
     write_report,
 )
+from .unconstrained import DoubleGreedyConfig
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     cfg = RunConfig.from_file(args.config)
     elements = list(
-        load_stream(
-            cfg.stream,
-            cfg.format,
-            d=cfg.knapsacks,
-            capacities=cfg.capacities or None,
-        )
+        load_stream(cfg.stream, cfg.format, d=cfg.knapsacks, capacities=cfg.capacities)
     )
     oracle, kernel = build_objective(cfg, elements)
     knapsacks = KnapsackSpec(cfg.knapsacks) if cfg.knapsacks else None
+    constraint = build_constraint(cfg.constraint)
     options = dict(
-        k=cfg.k_value(),
+        k=cfg.k,
         eps=cfg.eps,
-        alpha=cfg.alpha_value(),
-        prune=cfg.prune_config(),
-        swap_margin=cfg.swap_margin,
+        alpha=cfg.alpha,
+        prune=DoubleGreedyConfig(mode=cfg.mode, seed=cfg.seed),
     )
     session: SegmentedDppSession | StreamingSession
     if cfg.objective == "seqdpp":
         assert kernel is not None
         session = SegmentedDppSession(
-            kernel,
-            cfg.segment,
-            lambda: build_constraint(cfg.constraint),
-            knapsacks,
-            **options,
+            kernel, cfg.segment, constraint, knapsacks, **options
         )
     else:
-        session = StreamingSession(
-            oracle, build_constraint(cfg.constraint), knapsacks, **options
-        )
+        session = StreamingSession(oracle, constraint, knapsacks, **options)
     for e in elements:
         session.push(e)
     report = session.close()
@@ -74,9 +64,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for key in ("high_water", "max_active_runs", "q", "segments"):
         if key in report.stats:
             fields[key] = report.stats[key]
-    references = cfg.reference_sets()
-    if references:
-        p, r, f = summary_metrics(set(report.selection.ids), references)
+    if cfg.references:
+        p, r, f = summary_metrics(set(report.selection.ids), cfg.references)
         fields["precision"] = p
         fields["recall"] = r
         fields["f_score"] = f

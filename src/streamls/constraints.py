@@ -201,35 +201,6 @@ def cost_problem(eid: int, costs: Sequence[float]) -> str | None:
     return None
 
 
-def normalize_costs(
-    raw_costs: Mapping[int, Sequence[float]],
-    capacities: Sequence[float],
-) -> tuple[dict[int, tuple[float, ...]], set[int]]:
-    """Divide raw costs by per-knapsack capacities.
-
-    Costs above 1 after normalization are kept but the element id is
-    flagged: such an element can never enter a feasible solution.
-    """
-    caps = [float(c) for c in capacities]
-    if not all(c > 0 for c in caps):
-        raise ConfigError("capacities must be positive")
-    normalized: dict[int, tuple[float, ...]] = {}
-    flagged: set[int] = set()
-    for eid, costs in raw_costs.items():
-        if len(costs) != len(caps):
-            raise DomainError(
-                f"element {eid} carries {len(costs)} costs, expected {len(caps)}"
-            )
-        problem = cost_problem(eid, costs)
-        if problem:
-            raise DomainError(problem)
-        row = [float(c) / cap for c, cap in zip(costs, caps)]
-        normalized[eid] = tuple(row)
-        if any(c > 1.0 + KNAPSACK_SLACK for c in row):
-            flagged.add(eid)
-    return normalized, flagged
-
-
 def exchange_candidates(
     oracle: IndependenceOracle,
     s: AbstractSet[Element],

@@ -3,9 +3,9 @@
 Each instance keeps one independent solution. A new element is taken
 outright when it fits and strictly improves the objective; when it is
 blocked, the cheapest single-element swap per blocked part is evicted
-if the newcomer's gain beats (1 + swap_margin) times the evicted
-weight. Every element the instance lets go is reported back so callers
-can route it onward. The density-gated variant additionally filters by
+if the newcomer's gain is at least twice the evicted weight (the rule
+``backbone_alpha`` declares its factor for). Every element the instance
+lets go is reported back so callers can route it onward. The density-gated variant additionally filters by
 gain per unit knapsack cost and freezes itself the first time a would-be
 acceptance overflows a knapsack, exposing the pre-overflow solution and
 the overflowing element as fallback candidates.
@@ -56,17 +56,9 @@ class ProcessOutcome:
 class IndStreamInstance:
     """One streaming solution with swap-rule acceptance."""
 
-    def __init__(
-        self,
-        oracle: ValueOracle,
-        constraint: IndependenceOracle,
-        swap_margin: float = 1.0,
-    ):
-        if not swap_margin > 0:
-            raise ConfigError("swap margin must be positive")
+    def __init__(self, oracle: ValueOracle, constraint: IndependenceOracle):
         self.oracle = oracle
         self.constraint = constraint
-        self.swap_margin = float(swap_margin)
 
         self._solution: dict[int, Element] = {}
         self._weights: dict[int, float] = {}
@@ -83,10 +75,6 @@ class IndStreamInstance:
 
     def current_solution(self) -> frozenset[Element]:
         return frozenset(self._solution.values())
-
-    @property
-    def current_value(self) -> float:
-        return self._value
 
     def overflow_record(self) -> tuple[frozenset[Element], Element] | None:
         return self._overflow
@@ -180,10 +168,7 @@ class IndStreamInstance:
             swap = self._choose_swap(s, e)
             if swap is None:
                 return self._reject(e)
-            threshold = (1.0 + self.swap_margin) * sum(
-                self._weights[x.id] for x in swap
-            )
-            if gain < threshold:
+            if gain < 2.0 * sum(self._weights[x.id] for x in swap):
                 return self._reject(e)
             evicted = swap
 

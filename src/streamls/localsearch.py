@@ -91,7 +91,6 @@ class ChainState:
         *,
         alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
-        swap_margin: float = 1.0,
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
     ):
@@ -103,7 +102,7 @@ class ChainState:
         self.q = chain_length(self.alpha, self.beta)
         self.oracle = oracle
         self.instances = tuple(
-            IndStreamInstance(oracle, constraint, swap_margin) for _ in range(self.q)
+            IndStreamInstance(oracle, constraint) for _ in range(self.q)
         )
         self.processed = 0
         self.dropped = 0
@@ -195,7 +194,6 @@ class GridState:
         eps: float = 0.2,
         alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
-        swap_margin: float = 1.0,
     ):
         if knapsacks.d < 1:
             raise ConfigError("the threshold grid needs at least one knapsack")
@@ -212,12 +210,12 @@ class GridState:
         self.eps = float(eps)
         self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
-        self.swap_margin = swap_margin
 
         self.m = 0.0
         self.e_m: Element | None = None
+        # Keyed by ascending index: m only grows, so neither end of the
+        # window moves down and every run opens above the ones kept.
         self.runs: dict[int, ChainState] = {}
-        self._order: list[ChainState] = []  # the runs by ascending index
         self.processed = 0
         self.retired = 0
         self.high_water = 0
@@ -238,7 +236,6 @@ class GridState:
             self.constraint,
             alpha=self.alpha,
             prune=self.prune,
-            swap_margin=self.swap_margin,
             rho=rho,
             knapsacks=self.knapsacks,
         )
@@ -267,7 +264,6 @@ class GridState:
         for j in range(lo, hi + 1):
             if j not in self.runs:
                 self.runs[j] = self._new_chain(rho=(1.0 + self.eps) ** j)
-        self._order = [self.runs[j] for j in sorted(self.runs)]
         self.max_active_runs = max(self.max_active_runs, len(self.runs))
 
     def process(self, e: Element) -> None:
@@ -282,7 +278,7 @@ class GridState:
                 # The window depends on m alone, so it moves only here.
                 self._move_window()
         held = 0
-        for chain in self._order:
+        for chain in self.runs.values():
             chain.process(e)
             held += chain.held
         self.high_water = max(self.high_water, held)
@@ -290,7 +286,7 @@ class GridState:
     def finalize(self) -> Selection:
         """Best run result versus the best feasible singleton."""
         best: Selection | None = None
-        for chain in self._order:
+        for chain in self.runs.values():
             candidate = chain.finalize()
             if best is None or candidate.value > best.value:
                 best = candidate
@@ -341,7 +337,6 @@ class StreamingSession:
         eps: float = 0.2,
         alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
-        swap_margin: float = 1.0,
     ):
         if knapsacks is not None and knapsacks.d > 0:
             self._engine: ChainState | GridState = GridState(
@@ -352,16 +347,9 @@ class StreamingSession:
                 eps=eps,
                 alpha=alpha,
                 prune=prune,
-                swap_margin=swap_margin,
             )
         else:
-            self._engine = ChainState(
-                oracle,
-                constraint,
-                alpha=alpha,
-                prune=prune,
-                swap_margin=swap_margin,
-            )
+            self._engine = ChainState(oracle, constraint, alpha=alpha, prune=prune)
         self.pushed = 0
         self.seconds_total = 0.0
 

@@ -81,15 +81,10 @@ class ModularOracle(ValueOracle):
 
 
 class CoverageOracle(ValueOracle):
-    """Weighted set coverage: f(S) = total weight of items covered by S."""
+    """Set coverage: f(S) = number of items covered by S."""
 
-    def __init__(
-        self,
-        covers: Mapping[int, Iterable[Hashable]],
-        item_weights: Mapping[Hashable, float] | None = None,
-    ):
+    def __init__(self, covers: Mapping[int, Iterable[Hashable]]):
         self._covers = {eid: frozenset(items) for eid, items in covers.items()}
-        self._item_weights = dict(item_weights) if item_weights else None
 
     def value(self, elements: Iterable[Element]) -> float:
         covered: set[Hashable] = set()
@@ -97,9 +92,7 @@ class CoverageOracle(ValueOracle):
             if e.id not in self._covers:
                 raise DomainError(f"element {e.id} not in coverage universe")
             covered |= self._covers[e.id]
-        if self._item_weights is None:
-            return float(len(covered))
-        return float(sum(self._item_weights.get(item, 1.0) for item in covered))
+        return float(len(covered))
 
 
 class CutOracle(ValueOracle):
@@ -161,7 +154,8 @@ class DppKernel:
     """A positive semidefinite similarity kernel indexed by element id.
 
     ``offset`` is added to every log-det value so the objective can be
-    kept non-negative on its intended domain.
+    kept non-negative on its intended domain. Entries and the offset
+    must be finite, and the offset non-negative.
     """
 
     def __init__(
@@ -173,12 +167,14 @@ class DppKernel:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("kernel matrix must be square")
+        if not np.isfinite(m).all():
+            raise ConfigError("kernel matrix has a non-finite entry")
         if not np.allclose(m, m.T, atol=_SYMMETRY_TOL, rtol=0.0):
             raise ConfigError("kernel matrix is not symmetric")
         if m.shape[0] > 0 and float(np.linalg.eigvalsh(m).min()) < _PSD_EIG_TOL:
             raise ConfigError("kernel matrix is not positive semidefinite")
-        if offset < 0:
-            raise ConfigError("offset must be non-negative")
+        if not 0.0 <= offset < math.inf:
+            raise ConfigError(f"offset must be finite and non-negative, got {offset}")
         self.matrix = m
         self.offset = float(offset)
         self.ids = tuple(range(m.shape[0])) if ids is None else tuple(ids)
@@ -204,7 +200,7 @@ class DppKernel:
         return self.matrix[np.ix_(idx, idx)]
 
 
-def load_kernel(path: str, offset: float = 0.0) -> DppKernel:
+def load_kernel(path: str) -> DppKernel:
     """Read a dense kernel: first line n, then n rows of n reals."""
     with open(path) as fh:
         tokens = fh.read().split()
@@ -217,15 +213,15 @@ def load_kernel(path: str, offset: float = 0.0) -> DppKernel:
         raise ConfigError(f"{path}: {exc}") from None
     if len(values) != n * n:
         raise ConfigError(f"{path}: expected {n * n} entries, found {len(values)}")
-    return DppKernel(np.array(values).reshape(n, n), offset=offset)
+    return DppKernel(np.array(values).reshape(n, n))
 
 
-def _logdet_floored(matrix: np.ndarray, floor: float = DET_FLOOR) -> tuple[float, bool]:
+def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     """log det of a PSD matrix via pivoted elimination with a pivot floor.
 
     Returns (value, clamped). A fast Cholesky path covers the common
     well-conditioned case; the elimination fallback clamps tiny pivots
-    to ``floor`` instead of failing.
+    to ``DET_FLOOR`` instead of failing.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -233,7 +229,7 @@ def _logdet_floored(matrix: np.ndarray, floor: float = DET_FLOOR) -> tuple[float
     try:
         chol = np.linalg.cholesky(matrix)
         diag = np.diag(chol)
-        if np.all(diag * diag >= floor):
+        if np.all(diag * diag >= DET_FLOOR):
             return float(2.0 * np.sum(np.log(diag))), False
     except np.linalg.LinAlgError:
         pass
@@ -242,8 +238,8 @@ def _logdet_floored(matrix: np.ndarray, floor: float = DET_FLOOR) -> tuple[float
     clamped = False
     for j in range(n):
         pivot = m[j, j]
-        if pivot < floor:
-            pivot = floor
+        if pivot < DET_FLOOR:
+            pivot = DET_FLOOR
             clamped = True
         total += math.log(pivot)
         if j + 1 < n:
@@ -377,9 +373,6 @@ class DecomposableOracle(ValueOracle):
         components: Mapping[int, ComponentFn],
         ground: Sequence[Element],
         sample: Sequence[Element],
-        *,
-        scale: float | None = None,
-        probe_rng: random.Random | None = None,
     ):
         if ground and not sample:
             raise ConfigError("sample W must be non-empty")
@@ -392,12 +385,12 @@ class DecomposableOracle(ValueOracle):
             if e.id not in self._components:
                 raise DomainError(f"sampled element {e.id} has no component")
         self._sample = list(sample)
-        self._scale = self._probe_scale(probe_rng) if scale is None else float(scale)
+        self._scale = self._probe_scale()
         if self._scale <= 0:
             self._scale = 1.0
 
-    def _probe_scale(self, rng: random.Random | None) -> float:
-        rng = rng or random.Random(0)
+    def _probe_scale(self) -> float:
+        rng = random.Random(0)
         probes: list[frozenset[Element]] = [frozenset(), frozenset(self._ground)]
         for _ in range(16):
             probes.append(frozenset(e for e in self._ground if rng.random() < 0.5))
@@ -406,14 +399,6 @@ class DecomposableOracle(ValueOracle):
             for s in probes:
                 worst = max(worst, abs(fn(s)))
         return worst
-
-    @property
-    def sample(self) -> list[Element]:
-        return list(self._sample)
-
-    @property
-    def scale(self) -> float:
-        return self._scale
 
     def component_value(self, eid: int, elements: AbstractSet[Element]) -> float:
         if eid not in self._components:

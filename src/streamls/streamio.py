@@ -7,7 +7,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import AbstractSet, Iterator, Sequence
 
 from .constraints import (
@@ -35,7 +35,6 @@ from .objectives import (
     seqdpp_conditional_value,
     suggest_logdet_offset,
 )
-from .unconstrained import DoubleGreedyConfig
 
 _RESERVED_COLUMNS = {"id", "groups"}
 
@@ -230,76 +229,79 @@ def _kv_lines(path: str) -> Iterator[tuple[int, str, str]]:
             yield lineno, key.strip(), value.strip()
 
 
+def _auto(convert):
+    """``convert``, except that ``auto`` reads as None."""
+    return lambda text: None if text == "auto" else convert(text)
+
+
+def _floats(text: str) -> tuple[float, ...] | None:
+    return tuple(float(x) for x in text.split(",") if x) or None
+
+
+def _id_sets(text: str) -> list[frozenset[int]]:
+    if not text:
+        return []
+    return [frozenset(int(x) for x in part.split(",") if x) for part in text.split("|")]
+
+
+# How each non-text key's value is read; every other key keeps its text.
+_CONVERTERS = {
+    "offset": _auto(float),
+    "segment": int,
+    "knapsacks": int,
+    "capacities": _floats,
+    "alpha": _auto(float),
+    "eps": float,
+    "k": _auto(int),
+    "seed": int,
+    "dec_eps": float,
+    "dec_delta": float,
+    "dec_k": int,
+    "references": _id_sets,
+}
+
+
 @dataclass
 class RunConfig:
+    """A parsed ``run.cfg``: ``auto`` reads as None, an empty list as none given."""
+
     stream: str = ""
     format: str = "csv"
     objective: str = "coverage"
     kernel: str | None = None
-    offset: str = "auto"
+    offset: float | None = None
     edges: str | None = None
     segment: int = 0
     constraint: str = "none"
     knapsacks: int = 0
-    capacities: tuple[float, ...] = ()
-    alpha: str = "auto"
+    capacities: tuple[float, ...] | None = None
+    alpha: float | None = None
     mode: str = "deterministic"
     eps: float = 0.2
-    k: str = "auto"
-    swap_margin: float = 1.0
+    k: int | None = None
     seed: int = 0
     dec_eps: float = 0.5
     dec_delta: float = 0.1
     dec_k: int = 3
     report: str | None = None
-    references: str | None = None
+    references: list[frozenset[int]] = field(default_factory=list)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         cfg = cls()
+        keys = {f.name for f in dataclass_fields(cls)}
         for lineno, key, value in _kv_lines(path):
-            if not hasattr(cfg, key):
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
             try:
-                if isinstance(current, (int, float)):
-                    setattr(cfg, key, type(current)(value))
-                elif key == "capacities":
-                    cfg.capacities = tuple(float(x) for x in value.split(",") if x)
-                else:
-                    setattr(cfg, key, value)
-                # Parsed here too, so that a malformed value names its line.
-                cfg.alpha_value()
-                cfg.k_value()
-                cfg.offset_value()
-                cfg.reference_sets()
+                setattr(cfg, key, _CONVERTERS.get(key, str)(value))
             except ValueError:
                 raise ParseError(f"malformed {key} {value!r}", lineno) from None
-        if cfg.knapsacks and not cfg.capacities:
-            cfg.capacities = tuple(1.0 for _ in range(cfg.knapsacks))
-        if cfg.knapsacks and len(cfg.capacities) != cfg.knapsacks:
-            raise ConfigError("capacities length must equal the knapsack count")
+        if cfg.capacities is not None and len(cfg.capacities) != cfg.knapsacks:
+            raise ConfigError(
+                f"{len(cfg.capacities)} capacities given for {cfg.knapsacks} knapsacks"
+            )
         return cfg
-
-    def prune_config(self) -> DoubleGreedyConfig:
-        return DoubleGreedyConfig(mode=self.mode, seed=self.seed)
-
-    def alpha_value(self) -> float | None:
-        return None if self.alpha == "auto" else float(self.alpha)
-
-    def k_value(self) -> int | None:
-        return None if self.k == "auto" else int(self.k)
-
-    def offset_value(self) -> float | None:
-        return None if self.offset == "auto" else float(self.offset)
-
-    def reference_sets(self) -> list[frozenset[int]]:
-        if not self.references:
-            return []
-        return [
-            frozenset(int(x) for x in part.split(",") if x)
-            for part in self.references.split("|")
-        ]
 
 
 def build_constraint(spec: str) -> IndependenceOracle:
@@ -384,7 +386,7 @@ def build_objective(
         if not cfg.kernel:
             raise ConfigError(f"{cfg.objective} objective needs a 'kernel' file")
         kernel = load_kernel(cfg.kernel)
-        offset = cfg.offset_value()
+        offset = cfg.offset
         if offset is None:
             offset = suggest_logdet_offset(kernel.matrix)
         kernel = DppKernel(kernel.matrix, offset=offset, ids=kernel.ids)
@@ -418,7 +420,7 @@ class SegmentedDppSession:
         self,
         kernel: DppKernel,
         segment_size: int,
-        constraint_factory,
+        constraint: IndependenceOracle,
         knapsacks: KnapsackSpec | None = None,
         **options,
     ):
@@ -427,7 +429,7 @@ class SegmentedDppSession:
             raise ConfigError("segment size must be at least 1")
         self.kernel = kernel
         self.segment_size = segment_size
-        self._constraint_factory = constraint_factory
+        self.constraint = constraint
         self._options = dict(options, knapsacks=knapsacks)
         self.prev: frozenset[Element] = frozenset()
         self.selected: set[Element] = set()
@@ -441,7 +443,7 @@ class SegmentedDppSession:
 
     def _open_segment(self) -> StreamingSession:
         oracle = SequentialDppOracle(self.kernel, prev=self.prev)
-        return StreamingSession(oracle, self._constraint_factory(), **self._options)
+        return StreamingSession(oracle, self.constraint, **self._options)
 
     def _close_segment(self) -> None:
         selection = self._segment_session.snapshot()

@@ -252,23 +252,11 @@ def check_guarantee_formulas() -> CheckResult:
     return CheckResult("guarantee-formula-exactness", trials, violations, worst)
 
 
-def _stream_chain(instance: Instance, prune: DoubleGreedyConfig) -> ChainState:
-    chain = ChainState(
-        instance.oracle,
-        instance.constraint,
-        alpha=instance.alpha,
-        prune=prune,
-    )
-    for e in instance.elements:
-        chain.process(e)
-    return chain
-
-
-def _stream_grid(
-    instance: Instance, prune: DoubleGreedyConfig, eps: float
-) -> GridState:
-    assert instance.knapsacks is not None
-    grid = GridState(
+def _streamed(
+    instance: Instance, prune: DoubleGreedyConfig, eps: float = 0.2
+) -> ChainState | GridState:
+    """Push the instance's stream through a session; return its engine."""
+    session = StreamingSession(
         instance.oracle,
         instance.constraint,
         instance.knapsacks,
@@ -278,8 +266,8 @@ def _stream_grid(
         prune=prune,
     )
     for e in instance.elements:
-        grid.process(e)
-    return grid
+        session.push(e)
+    return session.engine
 
 
 def check_alg1_bound(trials: int = 300, seed: int = 1) -> CheckResult:
@@ -291,7 +279,7 @@ def check_alg1_bound(trials: int = 300, seed: int = 1) -> CheckResult:
     detail = ""
     for _ in range(trials):
         instance = random_instance(rng)
-        chain = _stream_chain(instance, prune)
+        chain = _streamed(instance, prune)
         got = chain.finalize().value
         opt = brute_opt(instance.oracle, instance.elements, instance.constraint)
         bound = guarantee_bound(instance.alpha, prune.beta, 0, 0.0)
@@ -313,7 +301,7 @@ def check_alg2_bound(trials: int = 300, seed: int = 2, eps: float = 0.2) -> Chec
     detail = ""
     for t in range(trials):
         instance = random_instance(rng, d=1 + t % 2)
-        grid = _stream_grid(instance, prune, eps)
+        grid = _streamed(instance, prune, eps)
         final = grid.finalize()
         assert instance.knapsacks is not None
         feasible = instance.constraint.is_independent(
@@ -414,7 +402,7 @@ def check_memory_accounting(trials: int = 40, seed: int = 6, eps: float = 0.2) -
     worst = math.inf
     for t in range(trials):
         instance = random_instance(rng, d=1 + t % 2)
-        grid = _stream_grid(instance, DoubleGreedyConfig(), eps)
+        grid = _streamed(instance, DoubleGreedyConfig(), eps)
         run_cap = math.ceil(math.log(instance.k) / math.log(1.0 + eps)) + 2
         margin = float(run_cap - grid.max_active_runs)
         chain_bound = 0

@@ -1,6 +1,5 @@
 """Independence oracles, knapsack feasibility and the swap-repair search."""
 
-import math
 import random
 
 import pytest
@@ -18,7 +17,6 @@ from streamls import (
     PredicateOracle,
     UniformMatroid,
     exchange_candidates,
-    normalize_costs,
 )
 from streamls.streamio import build_constraint
 
@@ -181,25 +179,6 @@ class TestKnapsacks:
                 continue
             s = frozenset(e for e in t if rng.random() < 0.5)
             assert spec.feasible(s)
-
-    def test_normalize_costs(self):
-        normalized, flagged = normalize_costs(
-            {0: [5.0], 1: [0.0], 2: [12.0]}, capacities=[10.0]
-        )
-        assert normalized[0] == (0.5,)
-        assert normalized[1] == (0.0,)
-        assert normalized[2] == (1.2,)
-        assert flagged == {2}
-
-    def test_normalize_rejects_negative_cost(self):
-        for cost in (-1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                normalize_costs({0: [cost]}, capacities=[1.0])
-
-    def test_normalize_rejects_bad_capacity(self):
-        for capacity in (0.0, math.nan):
-            with pytest.raises(ConfigError):
-                normalize_costs({0: [1.0]}, capacities=[capacity])
 
 
 class TestExchangeCandidates:

@@ -35,7 +35,7 @@ class TestSwapRule:
 
     def test_swap_accepts_when_gain_beats_double_weight(self):
         oracle = ModularOracle({0: 1.0, 1: 3.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(1), swap_margin=1.0)
+        inst = IndStreamInstance(oracle, UniformMatroid(1))
         inst.process(Element(id=0))
         out = inst.process(Element(id=1))
         assert out.accepted
@@ -44,7 +44,7 @@ class TestSwapRule:
 
     def test_swap_rejects_below_double_weight(self):
         oracle = ModularOracle({0: 1.0, 1: 1.5})
-        inst = IndStreamInstance(oracle, UniformMatroid(1), swap_margin=1.0)
+        inst = IndStreamInstance(oracle, UniformMatroid(1))
         inst.process(Element(id=0))
         out = inst.process(Element(id=1))
         assert not out.accepted
@@ -53,7 +53,7 @@ class TestSwapRule:
 
     def test_tie_at_threshold_accepts(self):
         oracle = ModularOracle({0: 1.0, 1: 2.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(1), swap_margin=1.0)
+        inst = IndStreamInstance(oracle, UniformMatroid(1))
         inst.process(Element(id=0))
         assert inst.process(Element(id=1)).accepted
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,6 +66,8 @@ class TestLoadStream:
         path.write_text("id,cost_1\n1,5.0\n")
         (element,) = list(load_stream(str(path), d=1, capacities=[10.0]))
         assert element.costs == (0.5,)
+        with pytest.raises(ConfigError):
+            list(load_stream(str(path), d=1, capacities=[0.0]))
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -170,9 +173,28 @@ class TestConfig:
         cfg = RunConfig.from_file(str(path))
         assert cfg.knapsacks == 2
         assert cfg.capacities == (2.0, 4.0)
-        assert cfg.k_value() == 5
+        assert cfg.k == 5
         assert cfg.seed == 3
-        assert cfg.reference_sets() == [frozenset({1, 2}), frozenset({3})]
+        assert cfg.references == [frozenset({1, 2}), frozenset({3})]
+        # auto and absent values read as None; an empty reference list is none.
+        path.write_text("alpha = auto\noffset = auto\nk = auto\nreferences =\n")
+        cfg = RunConfig.from_file(str(path))
+        assert (cfg.alpha, cfg.offset, cfg.k, cfg.capacities) == (None, None, None, None)
+        assert cfg.references == []
+        path.write_text("alpha = 0.5\noffset = 2.5\n")
+        cfg = RunConfig.from_file(str(path))
+        assert (cfg.alpha, cfg.offset) == (0.5, 2.5)
+
+    def test_readme_run_cfg_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("`run.cfg` is flat `key = value` text", 1)[1].split("```")[1]
+        path = tmp_path / "run.cfg"
+        path.write_text(block)
+        RunConfig.from_file(str(path))
+        # Every key is documented, and the block sets nothing else.
+        lines = [line.split("#")[0] for line in block.splitlines()]
+        documented = {line.split("=")[0].strip() for line in lines if "=" in line}
+        assert documented == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -420,7 +442,13 @@ class TestCli:
             ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
-            ("swap_margin = nan", None, "csv", "swap margin"),
+            ("swap_margin = 1.0", None, "csv", "unknown config key 'swap_margin'"),
+            (
+                "capacities = 5.0\nconstraint = uniform:3",
+                ["id,cost_1,groups", "0,4.0,a", "1,4.0,b", "2,4.0,c"],
+                "csv",
+                "1 capacities given for 0 knapsacks",
+            ),
             (
                 "constraint = matchoid:a=1;b=1;p=1",
                 ["id,groups", "0,a", "1,a;b"],
@@ -432,7 +460,7 @@ class TestCli:
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
             "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
-            "margin-nan", "matchoid-p",
+            "margin-nan", "capacities-no-knapsacks", "matchoid-p",
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
@@ -461,10 +489,22 @@ class TestCli:
                 "data.txt: invalid literal for int() with base 10: 'x'",
             ),
             ("objective = seqdpp\nsegment = 0", "kernel", "1\n1.0", "segment"),
+            ("objective = logdet", "kernel", "2\ninf 0 0 1", "non-finite entry"),
+            ("objective = logdet", "kernel", "2\n1 inf inf 1", "non-finite entry"),
+            ("objective = logdet", "kernel", "2\nnan 0 0 1", "non-finite entry"),
+            (
+                "objective = logdet\noffset = nan", "kernel", "1\n1.0",
+                "offset must be finite and non-negative, got nan",
+            ),
+            (
+                "objective = logdet\noffset = inf", "kernel", "1\n1.0",
+                "offset must be finite and non-negative, got inf",
+            ),
         ],
         ids=[
             "edges-int", "edges-nan", "edges-negative", "kernel-entry",
-            "kernel-size", "segment-zero",
+            "kernel-size", "segment-zero", "kernel-inf", "kernel-inf-offdiagonal",
+            "kernel-nan", "offset-nan", "offset-inf",
         ],
     )
     def test_malformed_files_exit_two(self, tmp_path, capsys, setting, key, text, needle):

@@ -387,7 +387,6 @@ class ReferenceGrid(GridState):
             self.constraint,
             alpha=self.alpha,
             prune=self.prune,
-            swap_margin=self.swap_margin,
             rho=rho,
             knapsacks=self.knapsacks,
         )
@@ -478,6 +477,7 @@ class TestFrozenPassThrough:
             for i, e in enumerate(instance.elements):
                 session.push(e)
                 reference.process(e)
+                assert list(grid.runs) == sorted(grid.runs)
                 assert grid.high_water == reference.high_water
                 assert grid.stats() == reference.stats()
                 for chain in grid.runs.values():

@@ -196,7 +196,7 @@ class TestDecomposable:
     def test_constant_components_are_exact(self):
         ground = [Element(id=i) for i in range(4)]
         g = lambda s: 0.25 * len(s)
-        oracle = DecomposableOracle({i: g for i in range(4)}, ground, ground[:2], scale=1.0)
+        oracle = DecomposableOracle({i: g for i in range(4)}, ground, ground[:2])
         subset = frozenset(ground[:3])
         assert oracle.value(subset) == pytest.approx(g(subset))
 
@@ -220,7 +220,7 @@ class TestDecomposable:
             1: lambda s: 0.6 if s else 0.0,
             2: lambda s: 1.0 if s else 0.0,
         }
-        oracle = DecomposableOracle(components, ground, [ground[0], ground[2]], scale=1.0)
+        oracle = DecomposableOracle(components, ground, [ground[0], ground[2]])
         assert oracle.value(frozenset(ground)) == pytest.approx((0.2 + 1.0) / 2)
 
     def test_empty_sample_rejected(self):
