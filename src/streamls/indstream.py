@@ -5,10 +5,11 @@ outright when it fits and strictly improves the objective; when it is
 blocked, the cheapest single-element swap per blocked part is evicted
 if the newcomer's gain is at least twice the evicted weight (the rule
 ``backbone_alpha`` declares its factor for). Every element the instance
-lets go is reported back so callers can route it onward. The density-gated variant additionally filters by
-gain per unit knapsack cost and freezes itself the first time a would-be
-acceptance overflows a knapsack, exposing the pre-overflow solution and
-the overflowing element as fallback candidates.
+lets go is reported back so callers can route it onward. The
+density-gated variant additionally filters by gain per unit knapsack
+cost and freezes itself the first time a would-be acceptance overflows
+a knapsack, exposing the pre-overflow solution and the overflowing
+element as fallback candidates.
 """
 
 from __future__ import annotations

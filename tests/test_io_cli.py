@@ -179,7 +179,7 @@ class TestConfig:
         # auto and absent values read as None; an empty reference list is none.
         path.write_text("alpha = auto\noffset = auto\nk = auto\nreferences =\n")
         cfg = RunConfig.from_file(str(path))
-        assert (cfg.alpha, cfg.offset, cfg.k, cfg.capacities) == (None, None, None, None)
+        assert [cfg.alpha, cfg.offset, cfg.k, cfg.capacities] == [None] * 4
         assert cfg.references == []
         path.write_text("alpha = 0.5\noffset = 2.5\n")
         cfg = RunConfig.from_file(str(path))
@@ -187,7 +187,8 @@ class TestConfig:
 
     def test_readme_run_cfg_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = readme.split("`run.cfg` is flat `key = value` text", 1)[1].split("```")[1]
+        after = readme.split("`run.cfg` is flat `key = value` text", 1)[1]
+        block = after.split("```")[1]
         path = tmp_path / "run.cfg"
         path.write_text(block)
         RunConfig.from_file(str(path))
@@ -239,7 +240,9 @@ _SPEC_BODY = st.lists(
     max_size=4,
 )
 _SPEC = st.tuples(
-    st.one_of(st.sampled_from(["none", "uniform", "partition", "matchoid", ""]), _FREE_TEXT),
+    st.one_of(
+        st.sampled_from(["none", "uniform", "partition", "matchoid", ""]), _FREE_TEXT
+    ),
     st.sampled_from([":", ""]),
     _SPEC_BODY,
     st.sampled_from([",", ";"]),
@@ -254,7 +257,9 @@ class TestConfigFuzz:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUE), max_size=8))
+    @given(
+        st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUE), max_size=8)
+    )
     def test_run_config_parses_or_refuses(self, tmp_path, lines):
         path = tmp_path / "run.cfg"
         path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
