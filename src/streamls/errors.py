@@ -32,3 +32,7 @@ class ParseError(StreamLsError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+    @classmethod
+    def not_utf8(cls, path: str, exc: UnicodeDecodeError) -> "ParseError":
+        return cls(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 text")

@@ -57,13 +57,19 @@ class ProcessOutcome:
 class IndStreamInstance:
     """One streaming solution with swap-rule acceptance."""
 
-    def __init__(self, oracle: ValueOracle, constraint: IndependenceOracle):
+    def __init__(
+        self,
+        oracle: ValueOracle,
+        constraint: IndependenceOracle,
+        empty_value: float | None = None,
+    ):
+        """``empty_value`` is f(empty) when the caller has it already."""
         self.oracle = oracle
         self.constraint = constraint
 
         self._solution: dict[int, Element] = {}
         self._weights: dict[int, float] = {}
-        self._value = oracle.value(frozenset())
+        self._value = oracle.value(frozenset()) if empty_value is None else empty_value
         self._frozen = False
         self._overflow: tuple[frozenset[Element], Element] | None = None
 
@@ -79,6 +85,11 @@ class IndStreamInstance:
 
     def overflow_record(self) -> tuple[frozenset[Element], Element] | None:
         return self._overflow
+
+    @property
+    def value(self) -> float:
+        """f of the current solution, as the instance tracks it."""
+        return self._value
 
     @property
     def frozen(self) -> bool:
@@ -133,11 +144,15 @@ class IndStreamInstance:
         e: Element,
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
+        *,
+        singleton_value: float | None = None,
     ) -> ProcessOutcome:
         """Swap-rule update, density-gated when ``rho`` is given.
 
         With knapsacks, a would-be acceptance that overflows one records
-        the overflow and freezes the instance.
+        the overflow and freezes the instance. ``singleton_value`` is
+        f({e}) when the caller has it already; an empty instance uses it
+        instead of evaluating f on the same set again.
         """
         self.processed += 1
         if self._frozen:
@@ -150,7 +165,10 @@ class IndStreamInstance:
             return self._reject(e)
 
         s = self.current_solution()
-        gain = self.oracle.value(s | {e}) - self._value
+        if singleton_value is not None and not s:
+            gain = singleton_value - self._value
+        else:
+            gain = self.oracle.value(s | {e}) - self._value
 
         if rho is not None:
             total_cost = knapsacks.total_cost(e) if knapsacks is not None else 0.0

@@ -21,11 +21,18 @@ from dataclasses import dataclass, field
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError
 from .indstream import IndStreamInstance, resolve_alpha
-from .objectives import Element, ValueOracle
+from .objectives import GAIN_TOL, Element, ValueOracle
 from .unconstrained import DoubleGreedyConfig, unconstrained_max
 
 # Guards ceil() against float noise at exact integer arguments.
 _CEIL_EPS = 1e-9
+
+# The density screen's slack, relative to the values involved: f({e}),
+# f(empty) and the values a run's instances hold. Rounding in an
+# oracle's sums and in an instance's running value stays far below it,
+# so the screen never skips an element that the gate, evaluated in
+# floats, would pass.
+_SCREEN_REL = 1e-9
 
 
 def _ceil(x: float) -> int:
@@ -82,6 +89,9 @@ class ChainState:
     ``held`` is the stored sum of the instances' ``held``. It is recounted
     only after a step that ran a live instance, because commit and freeze
     are the only places an instance's ``held`` changes.
+
+    In a threshold grid the chain also skips, the same way, an element
+    whose density gate must reject it at every instance (see ``process``).
     """
 
     def __init__(
@@ -93,7 +103,9 @@ class ChainState:
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
+        empty_value: float | None = None,
     ):
+        """``empty_value`` is f(empty) when the caller has it already."""
         self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
         self.beta = prune.beta
@@ -101,23 +113,57 @@ class ChainState:
         self.knapsacks = knapsacks
         self.q = chain_length(self.alpha, self.beta)
         self.oracle = oracle
+        if empty_value is None:
+            empty_value = oracle.value(frozenset())
         self.instances = tuple(
-            IndStreamInstance(oracle, constraint) for _ in range(self.q)
+            IndStreamInstance(oracle, constraint, empty_value) for _ in range(self.q)
         )
         self.processed = 0
         self.dropped = 0
-        self.held = 0
         self.high_water = 0
-        self._all_frozen = False
+        self._recount()
 
-    def process(self, e: Element) -> None:
-        """Route one stream element through the whole chain."""
+    def _recount(self) -> None:
+        """Refresh what only an instance's commit or freeze can change."""
+        self.held = sum(inst.held for inst in self.instances)
+        self.high_water = max(self.high_water, self.held)
+        self._all_frozen = all(inst.frozen for inst in self.instances)
+        self._slack = _SCREEN_REL * max(abs(inst.value) for inst in self.instances)
+
+    def _pass_through(self) -> None:
+        """Count the element as rejected by every instance and dropped."""
+        for inst in self.instances:
+            inst.processed += 1
+            inst.discarded_total += 1
+        self.dropped += 1
+
+    def process(
+        self,
+        e: Element,
+        *,
+        singleton_value: float | None = None,
+        gain_cap: float | None = None,
+        cost: float = 0.0,
+    ) -> None:
+        """Route one stream element through the whole chain.
+
+        ``singleton_value`` is f({e}), for the empty instances. Given
+        ``gain_cap``, an upper bound on e's gain over any set, and e's
+        total knapsack ``cost``, the element is skipped when the density
+        gate must reject it everywhere: rho * cost above the cap. The
+        screen is off once the oracle has clamped, since the bound rests
+        on submodularity.
+        """
         self.processed += 1
         if self._all_frozen:
-            for inst in self.instances:
-                inst.processed += 1
-                inst.discarded_total += 1
-            self.dropped += 1
+            self._pass_through()
+            return
+        if (
+            gain_cap is not None
+            and self.rho * cost > gain_cap + self._slack
+            and not self.oracle.clamped
+        ):
+            self._pass_through()
             return
         batch: list[Element] = [e]
         for inst in self.instances:
@@ -127,15 +173,18 @@ class ChainState:
                 continue
             discarded: list[Element] = []
             for x in sorted(batch, key=lambda el: el.id):
-                discarded.extend(inst.process(x, self.rho, self.knapsacks).discarded)
+                outcome = inst.process(
+                    x,
+                    self.rho,
+                    self.knapsacks,
+                    singleton_value=singleton_value if x is e else None,
+                )
+                discarded.extend(outcome.discarded)
             batch = discarded
             if not batch:
                 break
         self.dropped += len(batch)
-        # A live instance ran: only its commit or freeze can change held.
-        self.held = sum(inst.held for inst in self.instances)
-        self.high_water = max(self.high_water, self.held)
-        self._all_frozen = all(inst.frozen for inst in self.instances)
+        self._recount()  # a live instance ran
 
     def finalize(self) -> Selection:
         """Best of all instance solutions and their pruned variants.
@@ -210,6 +259,8 @@ class GridState:
         self.eps = float(eps)
         self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
+        # f(empty), computed once and shared by every run.
+        self._empty = oracle.value(frozenset())
 
         self.m = 0.0
         self.e_m: Element | None = None
@@ -238,6 +289,7 @@ class GridState:
             prune=self.prune,
             rho=rho,
             knapsacks=self.knapsacks,
+            empty_value=self._empty,
         )
 
     def gamma(self) -> float:
@@ -268,18 +320,24 @@ class GridState:
 
     def process(self, e: Element) -> None:
         self.processed += 1
-        if self.knapsacks.singleton_fits(e) and self.constraint.is_independent(
-            frozenset({e})
-        ):
+        value = gain_cap = None
+        cost = 0.0
+        if self.knapsacks.singleton_fits(e):
+            # f({e}) is computed once here and handed to every run.
             value = self.oracle.value(frozenset({e}))
-            if value > self.m:
+            if value > self.m and self.constraint.is_independent(frozenset({e})):
                 self.m = value
                 self.e_m = e
                 # The window depends on m alone, so it moves only here.
                 self._move_window()
+            # For submodular f, e's gain on any set S is at most
+            # f({e}) - f(empty), the lazy bound of accelerated greedy.
+            cost = self.knapsacks.total_cost(e)
+            magnitude = abs(value) + abs(self._empty)
+            gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
         held = 0
         for chain in self.runs.values():
-            chain.process(e)
+            chain.process(e, singleton_value=value, gain_cap=gain_cap, cost=cost)
             held += chain.held
         self.high_water = max(self.high_water, held)
 
@@ -296,8 +354,7 @@ class GridState:
             if best is None or value > best.value:
                 best = Selection(singleton, value)
         if best is None:
-            empty: frozenset[Element] = frozenset()
-            best = Selection(empty, self.oracle.value(empty))
+            best = Selection(frozenset(), self._empty)
         return best
 
     def stats(self) -> dict:

@@ -17,7 +17,7 @@ from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PreconditionError
+from .errors import ConfigError, DomainError, ParseError, PreconditionError
 
 # Marginal gains inside this band are treated as zero by selection rules.
 GAIN_TOL = 1e-12
@@ -59,6 +59,12 @@ def ids_of(elements: Iterable[Element]) -> frozenset[int]:
 
 class ValueOracle(ABC):
     """A non-negative submodular set function f over stream elements."""
+
+    # Sticky: True once a value came from a clamped log-det pivot, where
+    # f may fail to be submodular. The threshold grid's density screen,
+    # which relies on f({e}) - f(empty) bounding every gain of e, is off
+    # from then on.
+    clamped = False
 
     @abstractmethod
     def value(self, elements: Iterable[Element]) -> float:
@@ -144,6 +150,10 @@ class WeightedSumOracle(ValueOracle):
         s = set(elements)
         return sum(coeff * oracle.value(s) for coeff, oracle in self._terms)
 
+    @property
+    def clamped(self) -> bool:
+        return any(oracle.clamped for _, oracle in self._terms)
+
 
 # ---------------------------------------------------------------------------
 # DPP kernels and log-det objectives
@@ -173,10 +183,8 @@ class DppKernel:
             raise ConfigError("kernel matrix is not symmetric")
         if m.shape[0] > 0 and float(np.linalg.eigvalsh(m).min()) < _PSD_EIG_TOL:
             raise ConfigError("kernel matrix is not positive semidefinite")
-        if not 0.0 <= offset < math.inf:
-            raise ConfigError(f"offset must be finite and non-negative, got {offset}")
+        self.set_offset(offset)
         self.matrix = m
-        self.offset = float(offset)
         self.ids = tuple(range(m.shape[0])) if ids is None else tuple(ids)
         if len(self.ids) != m.shape[0]:
             raise ConfigError("id list length must match the kernel size")
@@ -186,6 +194,12 @@ class DppKernel:
         # Normalizers for the sequential conditional, keyed by
         # (previous-selection ids, segment ids); writes are idempotent.
         self._norm_cache: dict[tuple[frozenset[int], frozenset[int]], float] = {}
+
+    def set_offset(self, offset: float) -> None:
+        """Replace the offset; the matrix stays as it was checked."""
+        if not 0.0 <= offset < math.inf:
+            raise ConfigError(f"offset must be finite and non-negative, got {offset}")
+        self.offset = float(offset)
 
     def indices(self, elements: Iterable[Element]) -> list[int]:
         out = []
@@ -202,8 +216,11 @@ class DppKernel:
 
 def load_kernel(path: str) -> DppKernel:
     """Read a dense kernel: first line n, then n rows of n reals."""
-    with open(path) as fh:
-        tokens = fh.read().split()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise ParseError.not_utf8(path, exc) from None
     if not tokens:
         raise ConfigError(f"{path}: empty kernel file")
     try:
@@ -247,21 +264,28 @@ def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     return total, clamped
 
 
+def _logdet_warned(matrix: np.ndarray, stacklevel: int) -> tuple[float, bool]:
+    """``_logdet_floored``, with a RuntimeWarning when a pivot was clamped.
+
+    ``stacklevel`` counts from the caller, as in ``warnings.warn``.
+    """
+    value, clamped = _logdet_floored(matrix)
+    if clamped:
+        warnings.warn(
+            "log-det pivot clamped at floor; kernel submatrix is near singular",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
+    return value, clamped
+
+
 def logdet_value(kernel: DppKernel, elements: Iterable[Element]) -> float:
     """log det of the kernel restricted to ``elements``, plus the offset.
 
     Near-singular submatrices are clamped at the pivot floor and flagged
     with a RuntimeWarning rather than raised.
     """
-    sub = kernel.submatrix(elements)
-    value, clamped = _logdet_floored(sub)
-    if clamped:
-        warnings.warn(
-            "log-det pivot clamped at floor; kernel submatrix is near singular",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return value + kernel.offset
+    return _logdet_warned(kernel.submatrix(elements), 2)[0] + kernel.offset
 
 
 class LogDetOracle(ValueOracle):
@@ -271,7 +295,10 @@ class LogDetOracle(ValueOracle):
         self.kernel = kernel
 
     def value(self, elements: Iterable[Element]) -> float:
-        return logdet_value(self.kernel, elements)
+        value, clamped = _logdet_warned(self.kernel.submatrix(elements), 1)
+        if clamped:
+            self.clamped = True
+        return value + self.kernel.offset
 
 
 def suggest_logdet_offset(matrix: np.ndarray) -> float:
@@ -341,13 +368,9 @@ class SequentialDppOracle(ValueOracle):
             raise DomainError(
                 f"elements {sorted(e.id for e in overlap)} are already conditioned on"
             )
-        raw, clamped = _logdet_floored(self.kernel.submatrix(chosen | self.prev))
+        raw, clamped = _logdet_warned(self.kernel.submatrix(chosen | self.prev), 2)
         if clamped:
-            warnings.warn(
-                "log-det pivot clamped at floor; kernel submatrix is near singular",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self.clamped = True
         return raw - self._base + self.kernel.offset
 
 

@@ -55,15 +55,16 @@ def load_stream(
     ``groups`` (semicolon-separated labels) are recognized, any other
     column is a numeric feature. JSONL rows are objects with the same
     keys: ``id`` a JSON integer, ``features``, ``costs`` and ``groups``
-    JSON lists. Costs are divided by ``capacities`` when given. Costs
-    must be finite and non-negative, features finite.
+    JSON lists. Costs are divided by ``capacities`` when given, which
+    must be positive and finite. Costs must be finite and non-negative,
+    features finite.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown stream format {fmt!r}")
     caps = [float(c) for c in capacities] if capacities is not None else None
     if caps is not None:
-        if not all(c > 0 for c in caps):
-            raise ConfigError("capacities must be positive")
+        if not all(0.0 < c < math.inf for c in caps):
+            raise ConfigError("capacities must be positive and finite")
         if d and len(caps) != d:
             raise ConfigError("capacities length must equal the knapsack count")
         d = len(caps)
@@ -95,71 +96,78 @@ def load_stream(
         yield from _load_jsonl(path, d, finish)
 
 
-def _load_csv(path: str, d: int, finish) -> Iterator[Element]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _text_lines(path: str, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file; other bytes raise ``ParseError``."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
-            header = next(reader)
-        except StopIteration:
-            return
-        header = [h.strip() for h in header]
-        if "id" not in header:
-            raise ParseError("missing required column 'id'", 1)
-        cost_cols = [f"cost_{j}" for j in range(1, d + 1)]
-        for col in cost_cols:
-            if col not in header:
-                raise ParseError(f"missing required column {col!r}", 1)
-        feature_cols = [
-            h for h in header if h not in _RESERVED_COLUMNS and h not in cost_cols
-        ]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", lineno
-                )
-            record = dict(zip(header, (cell.strip() for cell in row)))
-            try:
-                eid = int(record["id"])
-            except ValueError:
-                raise ParseError(f"malformed id {record['id']!r}", lineno) from None
-            try:
-                costs = [float(record[c]) if record[c] else 0.0 for c in cost_cols]
-                features = [
-                    float(record[c]) for c in feature_cols if record.get(c, "") != ""
-                ]
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            groups = _parse_groups(record.get("groups", ""))
-            yield finish(eid, features, costs, groups, lineno)
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError.not_utf8(path, exc) from None
+
+
+def _load_csv(path: str, d: int, finish) -> Iterator[Element]:
+    reader = csv.reader(_text_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return
+    header = [h.strip() for h in header]
+    if "id" not in header:
+        raise ParseError("missing required column 'id'", 1)
+    cost_cols = [f"cost_{j}" for j in range(1, d + 1)]
+    for col in cost_cols:
+        if col not in header:
+            raise ParseError(f"missing required column {col!r}", 1)
+    feature_cols = [
+        h for h in header if h not in _RESERVED_COLUMNS and h not in cost_cols
+    ]
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, found {len(row)}", lineno
+            )
+        record = dict(zip(header, (cell.strip() for cell in row)))
+        try:
+            eid = int(record["id"])
+        except ValueError:
+            raise ParseError(f"malformed id {record['id']!r}", lineno) from None
+        try:
+            costs = [float(record[c]) if record[c] else 0.0 for c in cost_cols]
+            features = [
+                float(record[c]) for c in feature_cols if record.get(c, "") != ""
+            ]
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        groups = _parse_groups(record.get("groups", ""))
+        yield finish(eid, features, costs, groups, lineno)
 
 
 def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad json: {exc.msg}", lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a json object", lineno)
-            if "id" not in obj:
-                raise ParseError("missing required field 'id'", lineno)
-            eid = obj["id"]
-            if type(eid) is not int:  # also refuses bool, a subclass of int
-                raise ParseError(
-                    f"id must be a json integer, got {json.dumps(eid)}", lineno
-                )
-            try:
-                features = [float(x) for x in _json_list(obj, "features")]
-                costs = [float(x) for x in _json_list(obj, "costs")]
-                groups = frozenset(str(g) for g in _json_list(obj, "groups"))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), lineno) from None
-            yield finish(eid, features, costs, groups, lineno)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad json: {exc.msg}", lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("expected a json object", lineno)
+        if "id" not in obj:
+            raise ParseError("missing required field 'id'", lineno)
+        eid = obj["id"]
+        if type(eid) is not int:  # also refuses bool, a subclass of int
+            raise ParseError(
+                f"id must be a json integer, got {json.dumps(eid)}", lineno
+            )
+        try:
+            features = [float(x) for x in _json_list(obj, "features")]
+            costs = [float(x) for x in _json_list(obj, "costs")]
+            groups = frozenset(str(g) for g in _json_list(obj, "groups"))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(exc), lineno) from None
+        yield finish(eid, features, costs, groups, lineno)
 
 
 def _json_list(obj: dict, key: str) -> list:
@@ -218,15 +226,14 @@ def summary_metrics(
 
 def _kv_lines(path: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) for each ``key = value`` line."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', found {line!r}", lineno)
-            key, value = line.split("=", 1)
-            yield lineno, key.strip(), value.strip()
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', found {line!r}", lineno)
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
 
 
 def _auto(convert):
@@ -367,20 +374,19 @@ def build_objective(
         if not cfg.edges:
             raise ConfigError("cut objective needs an 'edges' file")
         edge_list = []
-        with open(cfg.edges) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.split()
-                if not fields:
-                    continue
-                if len(fields) not in (2, 3):
-                    raise ParseError("expected 'u v [weight]'", lineno)
-                try:
-                    w = float(fields[2]) if len(fields) == 3 else 1.0
-                    edge_list.append((int(fields[0]), int(fields[1]), w))
-                except ValueError:
-                    raise ParseError(
-                        f"malformed edge {line.strip()!r}", lineno
-                    ) from None
+        for lineno, line in enumerate(_text_lines(cfg.edges), start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) not in (2, 3):
+                raise ParseError("expected 'u v [weight]'", lineno)
+            try:
+                w = float(fields[2]) if len(fields) == 3 else 1.0
+                edge_list.append((int(fields[0]), int(fields[1]), w))
+            except ValueError:
+                raise ParseError(
+                    f"malformed edge {line.strip()!r}", lineno
+                ) from None
         return CutOracle(edge_list, nodes=[e.id for e in elements]), None
     if cfg.objective in ("logdet", "seqdpp"):
         if not cfg.kernel:
@@ -389,7 +395,7 @@ def build_objective(
         offset = cfg.offset
         if offset is None:
             offset = suggest_logdet_offset(kernel.matrix)
-        kernel = DppKernel(kernel.matrix, offset=offset, ids=kernel.ids)
+        kernel.set_offset(offset)
         if cfg.objective == "logdet":
             return LogDetOracle(kernel), kernel
         return SequentialDppOracle(kernel), kernel

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -66,8 +67,9 @@ class TestLoadStream:
         path.write_text("id,cost_1\n1,5.0\n")
         (element,) = list(load_stream(str(path), d=1, capacities=[10.0]))
         assert element.costs == (0.5,)
-        with pytest.raises(ConfigError):
-            list(load_stream(str(path), d=1, capacities=[0.0]))
+        for bad in (0.0, math.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                list(load_stream(str(path), d=1, capacities=[bad]))
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -285,10 +287,15 @@ def _write_stream(tmp_path, rows, header="id,cost_1,groups"):
     return path
 
 
-def _write_config(tmp_path, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
+def _write_bytes(path, text):
+    """Write ``text`` as UTF-8, except that a surrogate escape (U+DCE9
+    for 0xe9) becomes the raw byte it stands for, which is not UTF-8."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
+
+
+def _write_config(tmp_path, text):
+    return _write_bytes(tmp_path / "run.cfg", text)
 
 
 class TestCli:
@@ -363,6 +370,25 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         fields = parse_report(str(report))
         assert fields["value"] >= 0.0
+
+    def test_run_checks_the_kernel_once(self, tmp_path, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m)
+        )
+        kernel = tmp_path / "kernel.txt"
+        kernel.write_text("3\n1.5 0.2 0.1\n0.2 0.9 0.0\n0.1 0.0 0.4\n")
+        stream = _write_stream(tmp_path, ["0,0.2,", "1,0.4,", "2,0.5,"])
+        for offset in ("auto", "2.0"):
+            calls.clear()
+            config = _write_config(
+                tmp_path,
+                f"stream = {stream}\nobjective = logdet\nkernel = {kernel}\n"
+                f"offset = {offset}\nconstraint = uniform:2\nknapsacks = 1\nk = 2\n",
+            )
+            assert main(["run", "--config", str(config)]) == 0
+            assert calls == [(3, 3)]
 
     def test_run_cut_objective(self, tmp_path):
         edges = tmp_path / "edges.txt"
@@ -447,6 +473,19 @@ class TestCli:
             ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
+            (
+                "knapsacks = 1\ncapacities = inf", None, "csv",
+                "capacities must be positive and finite",
+            ),
+            ("# caf\udce9", None, "csv", "run.cfg: byte 0xe9 is not UTF-8 text"),
+            (
+                "", ["id,cost_1,groups", "0,0.2,caf\udce9"], "csv",
+                "stream.csv: byte 0xe9 is not UTF-8 text",
+            ),
+            (
+                "", ['{"id": 0, "groups": ["caf\udce9"]}'], "jsonl",
+                "stream.jsonl: byte 0xe9 is not UTF-8 text",
+            ),
             ("swap_margin = 1.0", None, "csv", "unknown config key 'swap_margin'"),
             (
                 "capacities = 5.0\nconstraint = uniform:3",
@@ -465,12 +504,15 @@ class TestCli:
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
             "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
+            "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",
             "margin-nan", "capacities-no-knapsacks", "matchoid-p",
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
-        stream = tmp_path / f"stream.{fmt}"
-        stream.write_text("\n".join(rows or ["id,cost_1,groups", "0,0.2,a"]) + "\n")
+        stream = _write_bytes(
+            tmp_path / f"stream.{fmt}",
+            "\n".join(rows or ["id,cost_1,groups", "0,0.2,a"]) + "\n",
+        )
         config = _write_config(
             tmp_path,
             f"stream = {stream}\nformat = {fmt}\nobjective = coverage\n{setting}\n",
@@ -505,16 +547,24 @@ class TestCli:
                 "objective = logdet\noffset = inf", "kernel", "1\n1.0",
                 "offset must be finite and non-negative, got inf",
             ),
+            (
+                "objective = cut", "edges", "0 1 \udce9",
+                "data.txt: byte 0xe9 is not UTF-8 text",
+            ),
+            (
+                "objective = logdet", "kernel", "1\n1.0 \udce9",
+                "data.txt: byte 0xe9 is not UTF-8 text",
+            ),
         ],
         ids=[
             "edges-int", "edges-nan", "edges-negative", "kernel-entry",
             "kernel-size", "segment-zero", "kernel-inf", "kernel-inf-offdiagonal",
-            "kernel-nan", "offset-nan", "offset-inf",
+            "kernel-nan", "offset-nan", "offset-inf", "edges-not-utf8",
+            "kernel-not-utf8",
         ],
     )
     def test_malformed_files_exit_two(self, tmp_path, capsys, setting, key, text, needle):
-        data = tmp_path / "data.txt"
-        data.write_text(text + "\n")
+        data = _write_bytes(tmp_path / "data.txt", text + "\n")
         stream = _write_stream(tmp_path, ["0,0.2,a"])
         config = _write_config(
             tmp_path, f"stream = {stream}\n{setting}\n{key} = {data}\n"

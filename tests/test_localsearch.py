@@ -3,7 +3,9 @@ session API."""
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from streamls import (
@@ -14,10 +16,13 @@ from streamls import (
     DoubleGreedyConfig,
     Element,
     GridState,
+    DppKernel,
     KnapsackSpec,
+    LogDetOracle,
     ModularOracle,
     StreamingSession,
     UniformMatroid,
+    ValueOracle,
     chain_length,
     guarantee_bound,
 )
@@ -379,7 +384,12 @@ class ReferenceChain(ChainState):
 
 
 class ReferenceGrid(GridState):
-    """Moves the window and sums every run's ``held`` on every push."""
+    """Moves the window and sums every run's ``held`` on every push.
+
+    Its chains are ``ReferenceChain``s, so it never screens an element by
+    density and shares no f({e}) or f(empty): every instance evaluates
+    every element it is offered.
+    """
 
     def _new_chain(self, rho):
         return ReferenceChain(
@@ -518,3 +528,150 @@ class TestFrozenPassThrough:
         assert_conserved(chain)
         assert [inst.processed for inst in chain.instances] == [1004, 1003, 1002]
         assert [inst.discarded_total for inst in chain.instances] == [1003, 1002, 1001]
+
+
+class PairCounter(ValueOracle):
+    """Delegates to ``inner`` and counts the evaluations of sets of two or
+    more elements: what an instance with a non-empty solution asks when it
+    is offered an element, and what the density screen saves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, elements):
+        if len(elements) >= 2:
+            self.calls += 1
+        return self.inner.value(elements)
+
+    @property
+    def clamped(self):
+        return self.inner.clamped
+
+
+def assert_same_grid(session, reference):
+    assert session.engine.stats() == reference.stats()
+    assert session.engine.high_water == reference.high_water
+    assert session.snapshot() == reference.finalize()
+
+
+class TestDensityScreen:
+    @pytest.mark.parametrize("kind", ["coverage", "logdet"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "prune", [DoubleGreedyConfig(), RANDOMIZED], ids=["deterministic", "randomized"]
+    )
+    def test_grid_matches_unscreened_reference(self, kind, d, prune):
+        rng = random.Random(f"screen:{kind}:{d}")
+        screened = unscreened = 0
+        for _ in range(10):
+            instance = random_instance(rng, d=d, kinds=(kind,))
+            # Every fourth element costs nothing, for the gate's zero-cost branch.
+            elements = [
+                e if i % 4 else Element(id=e.id, costs=(0.0,) * d, groups=e.groups)
+                for i, e in enumerate(instance.elements)
+            ]
+            session_oracle = PairCounter(instance.oracle)
+            reference_oracle = PairCounter(instance.oracle)
+            options = dict(k=instance.k, eps=0.2, alpha=instance.alpha, prune=prune)
+            session = StreamingSession(
+                session_oracle, instance.constraint, instance.knapsacks, **options
+            )
+            reference = ReferenceGrid(
+                reference_oracle, instance.constraint, instance.knapsacks, **options
+            )
+            for e in elements:
+                session.push(e)
+                reference.process(e)
+                assert_same_grid(session, reference)
+            screened += session_oracle.calls
+            unscreened += reference_oracle.calls
+            assert session.close().stats == reference.stats()
+        assert screened < unscreened
+
+    def test_screen_is_off_once_the_oracle_clamped(self):
+        # Elements 0-11 form a well-conditioned block; 12 and 13 are exact
+        # twins with no coupling to it, so any set holding both has a zero
+        # pivot, which the oracle clamps at DET_FLOOR.
+        rng = np.random.default_rng(4)
+        factors = rng.normal(size=(12, 6))
+        matrix = np.zeros((14, 14))
+        matrix[:12, :12] = factors @ factors.T + 0.5 * np.eye(12)
+        matrix[12:, 12:] = 4.0
+        costs = random.Random(4)
+        elements = [Element(id=i, costs=(costs.uniform(0.05, 1.0),)) for i in range(14)]
+        order = elements[:6] + [elements[12]] + elements[6:8] + [elements[13]]
+        order += elements[8:12]
+
+        def side():
+            # Each side has its own oracle, so only its own calls clamp it.
+            return PairCounter(LogDetOracle(DppKernel(matrix)))
+
+        session_oracle, reference_oracle = side(), side()
+        options = dict(k=8, eps=0.2, alpha=0.25)
+        session = StreamingSession(
+            session_oracle, UniformMatroid(8), KnapsackSpec(1), **options
+        )
+        reference = ReferenceGrid(
+            reference_oracle, UniformMatroid(8), KnapsackSpec(1), **options
+        )
+        saved_before_clamp = None
+        after_clamp = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for e in order:
+                was_clamped = session_oracle.clamped
+                before = (session_oracle.calls, reference_oracle.calls)
+                session.push(e)
+                reference.process(e)
+                if was_clamped:
+                    assert session_oracle.calls - before[0] == (
+                        reference_oracle.calls - before[1]
+                    )
+                    after_clamp += 1
+                elif session_oracle.clamped:
+                    saved_before_clamp = before[1] - before[0]
+                assert_same_grid(session, reference)
+        assert session_oracle.clamped
+        assert saved_before_clamp and saved_before_clamp > 0
+        assert after_clamp >= 4
+
+    def test_margin_scales_with_the_held_values(self):
+        # On top of f({1}) - f(empty) = 1e-3, rounding in f({0, 1}) = 1e7
+        # + 1e-3 lifts the gain the gate sees by 1.6e-10: far more than a
+        # margin taken from f({1}) and f(empty) alone.
+        oracle = ModularOracle({0: 1e7, 1: 1e-3})
+        options = dict(k=2, eps=0.2, alpha=0.25)
+        session = StreamingSession(oracle, UniformMatroid(2), KnapsackSpec(1), **options)
+        reference = ReferenceGrid(oracle, UniformMatroid(2), KnapsackSpec(1), **options)
+        first = costed(0, 0.5)
+        session.push(first)
+        reference.process(first)
+        rho = session.engine.runs[min(session.engine.runs)].rho
+        # rho * cost lies between 1e-3 and the gain as the gate computes it.
+        second = costed(1, (1e-3 + 1e-10) / rho)
+        session.push(second)
+        reference.process(second)
+        assert_same_grid(session, reference)
+        low = session.engine.runs[min(session.engine.runs)]
+        assert low.instances[0].current_solution() == frozenset({first, second})
+
+    def test_screened_run_makes_no_call(self):
+        oracle = CountingOracle({0: 1.0})
+        constraint = CountingMatroid(2)
+        knapsacks = CountingKnapsacks(1)
+        chain = ChainState(oracle, constraint, alpha=0.25, rho=4.0, knapsacks=knapsacks)
+        oracle.calls = 0
+        e = costed(0, 0.5)
+        # rho * cost = 2 exceeds the bound f({e}) - f(empty) = 1.
+        chain.process(e, singleton_value=1.0, gain_cap=1.0, cost=0.5)
+        assert (oracle.calls, constraint.calls, knapsacks.calls) == (0, 0, 0)
+        assert (chain.processed, chain.dropped) == (1, 1)
+        assert [inst.processed for inst in chain.instances] == [1, 1, 1]
+        assert [inst.discarded_total for inst in chain.instances] == [1, 1, 1]
+        assert_conserved(chain)
+        # Under the bound the element is offered, and the empty first
+        # instance takes it on the shared f({e}) without a value call.
+        chain.process(costed(0, 0.2), singleton_value=1.0, gain_cap=1.0, cost=0.2)
+        assert oracle.calls == 0
+        assert chain.instances[0].current_solution() == frozenset({e})
