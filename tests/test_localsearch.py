@@ -14,9 +14,9 @@ from streamls import (
     CoverageOracle,
     CutOracle,
     DoubleGreedyConfig,
+    DppKernel,
     Element,
     GridState,
-    DppKernel,
     KnapsackSpec,
     LogDetOracle,
     ModularOracle,
@@ -615,8 +615,7 @@ class TestDensityScreen:
         reference = ReferenceGrid(
             reference_oracle, UniformMatroid(8), KnapsackSpec(1), **options
         )
-        saved_before_clamp = None
-        after_clamp = 0
+        saved_before_clamp = after_clamp = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for e in order:
@@ -633,7 +632,7 @@ class TestDensityScreen:
                     saved_before_clamp = before[1] - before[0]
                 assert_same_grid(session, reference)
         assert session_oracle.clamped
-        assert saved_before_clamp and saved_before_clamp > 0
+        assert saved_before_clamp > 0
         assert after_clamp >= 4
 
     def test_margin_scales_with_the_held_values(self):
@@ -657,14 +656,13 @@ class TestDensityScreen:
         assert low.instances[0].current_solution() == frozenset({first, second})
 
     def test_screened_run_makes_no_call(self):
-        oracle = CountingOracle({0: 1.0})
+        oracle = CountingOracle({0: 1.0, 1: 1.0})
         constraint = CountingMatroid(2)
         knapsacks = CountingKnapsacks(1)
         chain = ChainState(oracle, constraint, alpha=0.25, rho=4.0, knapsacks=knapsacks)
         oracle.calls = 0
-        e = costed(0, 0.5)
         # rho * cost = 2 exceeds the bound f({e}) - f(empty) = 1.
-        chain.process(e, singleton_value=1.0, gain_cap=1.0, cost=0.5)
+        chain.process(costed(0, 0.5), singleton_value=1.0, gain_cap=1.0, cost=0.5)
         assert (oracle.calls, constraint.calls, knapsacks.calls) == (0, 0, 0)
         assert (chain.processed, chain.dropped) == (1, 1)
         assert [inst.processed for inst in chain.instances] == [1, 1, 1]
@@ -672,6 +670,7 @@ class TestDensityScreen:
         assert_conserved(chain)
         # Under the bound the element is offered, and the empty first
         # instance takes it on the shared f({e}) without a value call.
-        chain.process(costed(0, 0.2), singleton_value=1.0, gain_cap=1.0, cost=0.2)
+        taken = costed(1, 0.2)
+        chain.process(taken, singleton_value=1.0, gain_cap=1.0, cost=0.2)
         assert oracle.calls == 0
-        assert chain.instances[0].current_solution() == frozenset({e})
+        assert chain.instances[0].current_solution() == frozenset({taken})
