@@ -209,34 +209,33 @@ def exchange_candidates(
     """Single-swap repair options for adding ``e`` to independent ``s``.
 
     Returns [empty set] when no repair is needed, one candidate set per
-    blocked matchoid part otherwise, and [] when some blocked part has
-    no single-element removal that restores feasibility.
+    blocked part otherwise, and [] when some blocked part has no
+    single-element removal that restores feasibility. A matchoid's parts
+    are those holding ``e`` (with ``s`` independent, no other part can
+    block); any other oracle is one part over all of ``s``.
     """
     if e in s:
         raise PreconditionError(f"element {e.id} is already in the solution")
     if not oracle.is_independent(s):
         raise PreconditionError("the current solution is not independent")
-    grown = set(s) | {e}
-    if oracle.is_independent(grown):
-        return [frozenset()]
 
+    parts: list[tuple[IndependenceOracle, AbstractSet[Element]]]
     if isinstance(oracle, Matchoid):
         members = oracle._members(s)
-        out: list[frozenset[Element]] = []
-        for i in sorted(oracle._parts_of(e)):
-            part = oracle._oracles[i]
-            local = frozenset(members.get(i, ())) | {e}
-            if part.is_independent(local):
-                continue
-            candidates = frozenset(
-                x for x in local if x != e and part.is_independent(local - {x})
-            )
-            if not candidates:
-                return []
-            out.append(candidates)
-        return out
+        parts = [
+            (oracle._oracles[i], frozenset(members.get(i, ())))
+            for i in sorted(oracle._parts_of(e))
+        ]
+    else:
+        parts = [(oracle, s)]
 
-    candidates = frozenset(x for x in s if oracle.is_independent(grown - {x}))
-    if not candidates:
-        return []
-    return [candidates]
+    out: list[frozenset[Element]] = []
+    for part, held in parts:
+        local = held | {e}
+        if part.is_independent(local):
+            continue
+        candidates = frozenset(x for x in held if part.is_independent(local - {x}))
+        if not candidates:
+            return []
+        out.append(candidates)
+    return out or [frozenset()]

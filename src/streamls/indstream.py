@@ -110,18 +110,6 @@ class IndStreamInstance:
         self.discarded_total += 1
         return ProcessOutcome(False, frozenset({e}))
 
-    def _choose_swap(self, s: frozenset[Element], e: Element) -> frozenset[Element] | None:
-        """Cheapest one-element-per-blocked-part eviction, or None."""
-        per_part = exchange_candidates(self.constraint, s, e)
-        if not per_part:
-            return None
-        evict: set[Element] = set()
-        for candidates in per_part:
-            evict.add(min(candidates, key=lambda x: (self._weights[x.id], x.id)))
-        if not evict or not self.constraint.is_independent((s | {e}) - evict):
-            return None
-        return frozenset(evict)
-
     def _commit(
         self, e: Element, gain: float, evicted: frozenset[Element]
     ) -> ProcessOutcome:
@@ -179,17 +167,21 @@ class IndStreamInstance:
                 # Zero-cost elements pass the gate only on positive gain.
                 return self._reject(e)
 
-        if self.constraint.is_independent(s | {e}):
+        per_part = exchange_candidates(self.constraint, s, e)
+        if not per_part:
+            return self._reject(e)
+        if not per_part[0]:
+            # [empty set]: e fits as it is.
             if gain <= GAIN_TOL:
                 return self._reject(e)
             evicted: frozenset[Element] = frozenset()
         else:
-            swap = self._choose_swap(s, e)
-            if swap is None:
+            # The cheapest member of each blocked part makes way for e.
+            evicted = frozenset(
+                min(c, key=lambda x: (self._weights[x.id], x.id)) for c in per_part
+            )
+            if gain < 2.0 * sum(self._weights[x.id] for x in evicted):
                 return self._reject(e)
-            if gain < 2.0 * sum(self._weights[x.id] for x in swap):
-                return self._reject(e)
-            evicted = swap
 
         if knapsacks is not None and knapsacks.d > 0:
             if not knapsacks.feasible((s | {e}) - evicted):

@@ -14,6 +14,7 @@ from streamls import (
     Matchoid,
     ModularOracle,
     PartitionMatroid,
+    PredicateOracle,
     PreconditionError,
     UniformMatroid,
     backbone_alpha,
@@ -95,10 +96,42 @@ class TestSwapRule:
         rng = random.Random(31)
         for _ in range(40):
             instance = random_instance(rng)
-            inst = IndStreamInstance(instance.oracle, instance.constraint)
+            constraint = instance.constraint
+            # Behind an opaque predicate the same system takes the
+            # single-part exchange branch, so both branches' evictions
+            # are checked.
+            insts = [
+                IndStreamInstance(instance.oracle, constraint),
+                IndStreamInstance(instance.oracle, PredicateOracle(constraint.is_independent)),
+            ]
             for e in instance.elements:
-                inst.process(e)
-                assert instance.constraint.is_independent(inst.current_solution())
+                for inst in insts:
+                    inst.process(e)
+                    assert constraint.is_independent(inst.current_solution())
+
+    def test_one_whole_set_test_per_step(self):
+        class CountingPartition(PartitionMatroid):
+            whole_set_tests = 0
+
+            def is_independent(self, elements):
+                self.whole_set_tests += 1
+                return super().is_independent(elements)
+
+        partition = CountingPartition({"a": 1})
+        oracle = ModularOracle({0: 1.0, 1: 1.5, 2: 3.0, 3: 1.0})
+        inst = IndStreamInstance(oracle, partition)
+        steps = [
+            (Element(id=0, groups=frozenset({"a"})), True),  # fits
+            (Element(id=1, groups=frozenset({"a"})), False),  # blocked, below 2w
+            (Element(id=2, groups=frozenset({"a"})), True),  # blocked, swaps out 0
+            (Element(id=3), True),  # in no block
+        ]
+        for e, accepted in steps:
+            before = partition.whole_set_tests
+            assert inst.process(e).accepted == accepted
+            # The exchange search's precondition; e's block is tested alone.
+            assert partition.whole_set_tests - before == 1
+        assert inst.current_solution() == frozenset({steps[2][0], steps[3][0]})
 
     def test_conservation_identity(self):
         rng = random.Random(32)
