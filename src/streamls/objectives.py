@@ -228,6 +228,8 @@ def load_kernel(path: str) -> DppKernel:
         values = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if n < 0:
+        raise ConfigError(f"{path}: kernel size must be non-negative, got {n}")
     if len(values) != n * n:
         raise ConfigError(f"{path}: expected {n * n} entries, found {len(values)}")
     return DppKernel(np.array(values).reshape(n, n))

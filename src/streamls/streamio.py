@@ -105,11 +105,23 @@ def _text_lines(path: str, newline: str | None = None) -> Iterator[str]:
             raise ParseError.not_utf8(path, exc) from None
 
 
-def _load_csv(path: str, d: int, finish) -> Iterator[Element]:
+def _csv_rows(path: str) -> Iterator[list[str]]:
+    """The rows of a CSV file; a row the reader refuses raises ``ParseError``."""
     reader = csv.reader(_text_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ParseError(f"bad csv: {exc}", reader.line_num) from None
+        yield row
+
+
+def _load_csv(path: str, d: int, finish) -> Iterator[Element]:
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None:
         return
     header = [h.strip() for h in header]
     if "id" not in header:
@@ -152,6 +164,10 @@ def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad json: {exc.msg}", lineno) from None
+        except (ValueError, RecursionError) as exc:
+            # An integer literal past Python's digit limit, or nesting
+            # deeper than the decoder can recurse.
+            raise ParseError(f"bad json: {exc}", lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("expected a json object", lineno)
         if "id" not in obj:
@@ -165,7 +181,7 @@ def _load_jsonl(path: str, d: int, finish) -> Iterator[Element]:
             features = [float(x) for x in _json_list(obj, "features")]
             costs = [float(x) for x in _json_list(obj, "costs")]
             groups = frozenset(str(g) for g in _json_list(obj, "groups"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), lineno) from None
         yield finish(eid, features, costs, groups, lineno)
 

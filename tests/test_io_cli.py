@@ -499,13 +499,34 @@ class TestCli:
                 "csv",
                 "element 1 lies in 2 parts but p is 1",
             ),
+            (
+                "",
+                ["id,cost_1,groups", "0,0.2,a", "1,0.1," + "x" * 140_000],
+                "csv",
+                "line 3: bad csv: field larger than field limit",
+            ),
+            (
+                "",
+                ['{"id": 0}', '{"id": 1, "groups": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                "jsonl",
+                "line 2: bad json: maximum recursion depth",
+            ),
+            (
+                "", ['{"id": 0}', '{"id": ' + "9" * 5000 + "}"], "jsonl",
+                "line 2: bad json: Exceeds the limit",
+            ),
+            (
+                "", ['{"id": 0, "features": [1' + "0" * 400 + "]}"], "jsonl",
+                "line 1: int too large to convert to float",
+            ),
         ],
         ids=[
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
             "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
             "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",
-            "margin-nan", "capacities-no-knapsacks", "matchoid-p",
+            "margin-nan", "capacities-no-knapsacks", "matchoid-p", "csv-field-too-long",
+            "jsonl-too-deep", "jsonl-int-too-long", "jsonl-feature-overflow",
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, setting, rows, fmt, needle):
@@ -555,12 +576,16 @@ class TestCli:
                 "objective = logdet", "kernel", "1\n1.0 \udce9",
                 "data.txt: byte 0xe9 is not UTF-8 text",
             ),
+            (
+                "objective = logdet", "kernel", "-1\n1.0",
+                "data.txt: kernel size must be non-negative, got -1",
+            ),
         ],
         ids=[
             "edges-int", "edges-nan", "edges-negative", "kernel-entry",
             "kernel-size", "segment-zero", "kernel-inf", "kernel-inf-offdiagonal",
             "kernel-nan", "offset-nan", "offset-inf", "edges-not-utf8",
-            "kernel-not-utf8",
+            "kernel-not-utf8", "kernel-size-negative",
         ],
     )
     def test_malformed_files_exit_two(self, tmp_path, capsys, setting, key, text, needle):
