@@ -108,14 +108,10 @@ def _text_lines(path: str, newline: str | None = None) -> Iterator[str]:
 def _csv_rows(path: str) -> Iterator[list[str]]:
     """The rows of a CSV file; a row the reader refuses raises ``ParseError``."""
     reader = csv.reader(_text_lines(path, newline=""))
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-            raise ParseError(f"bad csv: {exc}", reader.line_num) from None
-        yield row
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise ParseError(f"bad csv: {exc}", reader.line_num) from None
 
 
 def _load_csv(path: str, d: int, finish) -> Iterator[Element]:
