@@ -32,7 +32,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elements = list(
         load_stream(cfg.stream, cfg.format, d=cfg.knapsacks, capacities=cfg.capacities)
     )
-    oracle, kernel = build_objective(cfg, elements)
+    oracle = build_objective(cfg, elements)
     knapsacks = KnapsackSpec(cfg.knapsacks) if cfg.knapsacks else None
     constraint = build_constraint(cfg.constraint)
     options = dict(
@@ -43,9 +43,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     session: SegmentedDppSession | StreamingSession
     if cfg.objective == "seqdpp":
-        assert kernel is not None
         session = SegmentedDppSession(
-            kernel, cfg.segment, constraint, knapsacks, **options
+            oracle.kernel, cfg.segment, constraint, knapsacks, **options
         )
     else:
         session = StreamingSession(oracle, constraint, knapsacks, **options)

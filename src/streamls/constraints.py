@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, PreconditionError
@@ -17,12 +18,32 @@ from .objectives import Element
 # Slack guarding float summation of normalized costs.
 KNAPSACK_SLACK = 1e-12
 
+# An exchange answer: [empty set] (e fits), a set per blocked part, or [].
+Repairs = list[frozenset[Element]]
+
 
 class IndependenceOracle(ABC):
     """Hereditary feasibility test over element sets."""
 
+    # The swap backbone's declared factor here; None for an unknown structure.
+    swap_alpha: float | None = None
+
     @abstractmethod
     def is_independent(self, elements: AbstractSet[Element]) -> bool: ...
+
+    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
+        """``exchange_candidates`` for this system, as one part over all of ``s``."""
+        if not self.is_independent(s):
+            raise PreconditionError("the current solution is not independent")
+        found = self._repair(s, e)
+        return [] if found is None else [found]
+
+    def _repair(self, s: AbstractSet[Element], e: Element) -> frozenset[Element] | None:
+        """∅ if ``e`` fits independent ``s``, else the members making room, or None."""
+        local = s | {e}
+        if self.is_independent(local):
+            return frozenset()
+        return frozenset(x for x in s if self.is_independent(local - {x})) or None
 
     @property
     def rank_hint(self) -> int | None:
@@ -32,6 +53,8 @@ class IndependenceOracle(ABC):
 
 class UniformMatroid(IndependenceOracle):
     """All subsets of size at most ``limit``."""
+
+    swap_alpha = 0.25
 
     def __init__(self, limit: int):
         if limit < 0:
@@ -104,6 +127,7 @@ class Matchoid(IndependenceOracle):
         elif most > p:
             raise ConfigError(f"an id lies in {most} part grounds but p is {p}")
         self.p = int(p)
+        self.swap_alpha = 1.0 / (4.0 * self.p)
 
     def _parts_of(self, e: Element) -> tuple[int, ...]:
         found = self._by_id.get(e.id, ())
@@ -115,29 +139,38 @@ class Matchoid(IndependenceOracle):
             )
         return found
 
-    def _members(self, elements: AbstractSet[Element]) -> dict[int, list[Element]]:
+    def _members(self, elements: AbstractSet[Element]) -> dict[int, frozenset]:
         """Index of each part the elements touch -> those in its ground."""
-        members: dict[int, list[Element]] = {}
+        members: defaultdict[int, list[Element]] = defaultdict(list)
         for e in elements:
             for i in self._parts_of(e):
-                if i in members:
-                    members[i].append(e)
-                else:
-                    members[i] = [e]
-        return members
+                members[i].append(e)
+        return {i: frozenset(local) for i, local in members.items()}
+
+    def _all_fit(self, members: dict[int, frozenset]) -> bool:
+        return all(self._oracles[i].is_independent(m) for i, m in members.items())
 
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
-        for i, local in self._members(elements).items():
-            if not self._oracles[i].is_independent(frozenset(local)):
-                return False
-        return True
+        return self._all_fit(self._members(elements))
+
+    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
+        """Only ``e``'s parts can block; one pass over ``s`` serves them all."""
+        members = self._members(s)
+        if not self._all_fit(members):
+            raise PreconditionError("the current solution is not independent")
+        out: Repairs = []
+        for i in sorted(self._parts_of(e)):
+            found = self._oracles[i]._repair(members.get(i, frozenset()), e)
+            if found is None:
+                return []
+            if found:
+                out.append(found)
+        return out or [frozenset()]
 
     @property
     def rank_hint(self) -> int | None:
         hints = [oracle.rank_hint for oracle in self._oracles]
-        if any(h is None for h in hints):
-            return None
-        return sum(h for h in hints if h is not None)
+        return None if None in hints else sum(hints)
 
 
 class PartitionMatroid(Matchoid):
@@ -202,10 +235,8 @@ def cost_problem(eid: int, costs: Sequence[float]) -> str | None:
 
 
 def exchange_candidates(
-    oracle: IndependenceOracle,
-    s: AbstractSet[Element],
-    e: Element,
-) -> list[frozenset[Element]]:
+    oracle: IndependenceOracle, s: AbstractSet[Element], e: Element
+) -> Repairs:
     """Single-swap repair options for adding ``e`` to independent ``s``.
 
     Returns [empty set] when no repair is needed, one candidate set per
@@ -216,26 +247,4 @@ def exchange_candidates(
     """
     if e in s:
         raise PreconditionError(f"element {e.id} is already in the solution")
-    if not oracle.is_independent(s):
-        raise PreconditionError("the current solution is not independent")
-
-    parts: list[tuple[IndependenceOracle, AbstractSet[Element]]]
-    if isinstance(oracle, Matchoid):
-        members = oracle._members(s)
-        parts = [
-            (oracle._oracles[i], frozenset(members.get(i, ())))
-            for i in sorted(oracle._parts_of(e))
-        ]
-    else:
-        parts = [(oracle, s)]
-
-    out: list[frozenset[Element]] = []
-    for part, held in parts:
-        local = held | {e}
-        if part.is_independent(local):
-            continue
-        candidates = frozenset(x for x in held if part.is_independent(local - {x}))
-        if not candidates:
-            return []
-        out.append(candidates)
-    return out or [frozenset()]
+    return oracle.exchange(s, e)

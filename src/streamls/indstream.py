@@ -16,24 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import (
-    IndependenceOracle,
-    KnapsackSpec,
-    Matchoid,
-    UniformMatroid,
-    exchange_candidates,
-)
+from .constraints import IndependenceOracle, KnapsackSpec, exchange_candidates
 from .errors import ConfigError, PreconditionError
 from .objectives import GAIN_TOL, Element, ValueOracle
 
 
 def backbone_alpha(constraint: IndependenceOracle) -> float | None:
     """Declared approximation factor of the swap backbone: 1/(4p)."""
-    if isinstance(constraint, Matchoid):
-        return 1.0 / (4.0 * constraint.p)
-    if isinstance(constraint, UniformMatroid):
-        return 0.25
-    return None
+    return constraint.swap_alpha
 
 
 def resolve_alpha(constraint: IndependenceOracle, alpha: float | None) -> float:

@@ -34,6 +34,9 @@ _CEIL_EPS = 1e-9
 # floats, would pass.
 _SCREEN_REL = 1e-9
 
+# Most threshold runs one window may span, about log(k) / log1p(eps).
+_MAX_RUNS = 10_000
+
 
 def _ceil(x: float) -> int:
     return math.ceil(x - _CEIL_EPS)
@@ -252,6 +255,12 @@ class GridState:
             k = constraint.rank_hint
         if k is None or k < 1:
             raise ConfigError("k (bound on the largest feasible solution) is required")
+        runs = math.log(k) / math.log1p(eps)
+        if runs > _MAX_RUNS or 1.0 + eps == 1.0:
+            raise ConfigError(
+                f"eps = {eps} with k = {k} spans about {runs:.3g} threshold runs;"
+                f" at most {_MAX_RUNS} are allowed, and 1 + eps must exceed 1"
+            )
         self.oracle = oracle
         self.constraint = constraint
         self.knapsacks = knapsacks
@@ -299,10 +308,13 @@ class GridState:
     def _active_window(self) -> tuple[int, int]:
         # lo is biased down and hi up so float noise can only widen the
         # window: the run bracketing the unknown optimum must never be cut.
+        # log(gamma) is summed from its factors: 2m * bound underflows to 0
+        # when m is denormal.
         base = math.log1p(self.eps)
-        gamma = self.gamma()
-        lo = math.floor(math.log(gamma) / base - _CEIL_EPS)
-        hi = math.floor(math.log(gamma * self.k) / base + _CEIL_EPS)
+        bound = guarantee_bound(self.alpha, self.prune.beta, self.knapsacks.d, 0.0)
+        log_gamma = math.log(2.0 * bound) + math.log(self.m)
+        lo = math.floor(log_gamma / base - _CEIL_EPS)
+        hi = math.floor((log_gamma + math.log(self.k)) / base + _CEIL_EPS)
         return lo, hi
 
     def _move_window(self) -> None:

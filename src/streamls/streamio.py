@@ -376,12 +376,10 @@ def _coverage_components(elements: Sequence[Element]):
     return {e.id: make(e) for e in elements}
 
 
-def build_objective(
-    cfg: RunConfig, elements: Sequence[Element]
-) -> tuple[ValueOracle, DppKernel | None]:
+def build_objective(cfg: RunConfig, elements: Sequence[Element]) -> ValueOracle:
     """Instantiate the configured oracle over the loaded stream."""
     if cfg.objective == "coverage":
-        return CoverageOracle({e.id: e.groups for e in elements}), None
+        return CoverageOracle({e.id: e.groups for e in elements})
     if cfg.objective == "cut":
         if not cfg.edges:
             raise ConfigError("cut objective needs an 'edges' file")
@@ -399,7 +397,7 @@ def build_objective(
                 raise ParseError(
                     f"malformed edge {line.strip()!r}", lineno
                 ) from None
-        return CutOracle(edge_list, nodes=[e.id for e in elements]), None
+        return CutOracle(edge_list, nodes=[e.id for e in elements])
     if cfg.objective in ("logdet", "seqdpp"):
         if not cfg.kernel:
             raise ConfigError(f"{cfg.objective} objective needs a 'kernel' file")
@@ -409,8 +407,8 @@ def build_objective(
             offset = suggest_logdet_offset(kernel.matrix)
         kernel.set_offset(offset)
         if cfg.objective == "logdet":
-            return LogDetOracle(kernel), kernel
-        return SequentialDppOracle(kernel), kernel
+            return LogDetOracle(kernel)
+        return SequentialDppOracle(kernel)
     if cfg.objective == "decomposable":
         components = _coverage_components(elements)
         bound = sample_size_bound(
@@ -421,7 +419,7 @@ def build_objective(
         sample: list[Element] = []
         for position, e in enumerate(elements, start=1):
             reservoir_sample(position, sample, capacity, e, rng)
-        return DecomposableOracle(components, elements, sample), None
+        return DecomposableOracle(components, elements, sample)
     raise ConfigError(f"unknown objective {cfg.objective!r}")
 
 
@@ -540,20 +538,10 @@ def parse_value(text: str):
 
 def write_report(path: str, fields: dict[str, object]) -> None:
     """Line-delimited ``key = value`` report."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in fields.items():
             fh.write(f"{key} = {format_value(value)}\n")
 
 
 def parse_report(path: str) -> dict[str, object]:
-    fields: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', found {line!r}", lineno)
-            key, value = line.split("=", 1)
-            fields[key.strip()] = parse_value(value)
-    return fields
+    return {key: parse_value(value) for _, key, value in _kv_lines(path)}

@@ -1,9 +1,10 @@
 """Independence oracles, knapsack feasibility and the swap-repair search."""
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from streamls import (
@@ -299,9 +300,8 @@ class TestPartitionAsMatchoid:
                 want = exchange_candidates(generic, subset, e)
                 before = partition.whole_set_tests
                 assert exchange_candidates(partition, subset, e) == want
-                # Block-local: only the precondition tests S whole; S + e is
-                # tested through e's block alone.
-                assert partition.whole_set_tests - before == 1
+                # Block-local: S and S + e are tested block by block only.
+                assert partition.whole_set_tests - before == 0
                 assert exchange_candidates(spelled, subset, e) == want
 
     @settings(max_examples=100, deadline=None)
@@ -316,3 +316,88 @@ class TestPartitionAsMatchoid:
         ):
             with pytest.raises(DomainError):
                 oracle.is_independent(subset | {straddler})
+
+
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def matchoid_cases(draw):
+    """Uniform parts over id or label grounds, p from 1 to 3, and elements
+    whose labels may put them in more than p parts."""
+    n = draw(st.integers(1, 9))
+    ids = st.frozensets(st.integers(0, n - 1), min_size=n // 2)
+    ground = st.one_of(st.sampled_from(LABELS), ids)
+    limit = st.sampled_from((0, 1, 1, 2))
+    parts = draw(st.lists(st.tuples(limit, ground), min_size=1, max_size=4))
+    id_grounds = [g for _, g in parts if not isinstance(g, str)]
+    most = max((sum(i in g for g in id_grounds) for i in range(n)), default=0)
+    assume(most <= 3)
+    p = draw(st.integers(max(most, 1), 3))
+    pool = [
+        Element(id=i, groups=draw(st.frozensets(st.sampled_from(LABELS), max_size=2)))
+        for i in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        # Any subset: some are dependent, some hold an element in too many parts.
+        return parts, p, pool, frozenset(pool[i] for i in order[: draw(st.integers(0, n))])
+    # Greedily filled, so that many of e's parts are full and block it.
+    subset = frozenset()
+    for i in order:
+        grown = subset | {pool[i]}
+        if sum(in_ground(pool[i], g) for _, g in parts) <= p and all(
+            sum(in_ground(x, g) for x in grown) <= limit for limit, g in parts
+        ):
+            subset = grown
+    return parts, p, pool, subset
+
+
+def in_ground(x, ground):
+    return ground in x.groups if isinstance(ground, str) else x.id in ground
+
+
+class CountingMatchoid(Matchoid):
+    whole_set_tests = 0
+
+    def is_independent(self, elements):
+        self.whole_set_tests += 1
+        return super().is_independent(elements)
+
+
+class TestMatchoidExchange:
+    @settings(max_examples=400, deadline=None)
+    @given(matchoid_cases())
+    def test_matches_generic_exchange_part_by_part(self, case):
+        parts, p, pool, subset = case
+        matchoid = CountingMatchoid([(UniformMatroid(n), g) for n, g in parts], p=p)
+        generic = PredicateOracle(matchoid.is_independent)
+        for e in pool:
+            if e in subset:
+                continue
+            try:
+                want = exchange_candidates(generic, subset, e)
+            except (DomainError, PreconditionError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    exchange_candidates(matchoid, subset, e)
+                continue
+            before = matchoid.whole_set_tests
+            got = exchange_candidates(matchoid, subset, e)
+            assert matchoid.whole_set_tests == before
+            # Each part of e is repaired as the generic search repairs that
+            # part alone; one blocked part is the generic answer itself.
+            expected = []
+            for limit, g in parts:
+                if not in_ground(e, g):
+                    continue
+                alone = PredicateOracle(
+                    lambda t, limit=limit, g=g: sum(in_ground(x, g) for x in t) <= limit
+                )
+                expected.append(exchange_candidates(alone, subset, e))
+            if [] in expected:
+                assert got == []
+                continue
+            blocked = [c for answer in expected for c in answer if c]
+            assert got == (blocked or [frozenset()])
+            if len(blocked) <= 1:
+                assert got == want

@@ -109,7 +109,7 @@ class TestSwapRule:
                     inst.process(e)
                     assert constraint.is_independent(inst.current_solution())
 
-    def test_one_whole_set_test_per_step(self):
+    def test_no_whole_set_test_per_step(self):
         class CountingPartition(PartitionMatroid):
             whole_set_tests = 0
 
@@ -129,8 +129,8 @@ class TestSwapRule:
         for e, accepted in steps:
             before = partition.whole_set_tests
             assert inst.process(e).accepted == accepted
-            # The exchange search's precondition; e's block is tested alone.
-            assert partition.whole_set_tests - before == 1
+            # The precondition and the search both work on e's block alone.
+            assert partition.whole_set_tests - before == 0
         assert inst.current_solution() == frozenset({steps[2][0], steps[3][0]})
 
     def test_conservation_identity(self):

@@ -156,6 +156,32 @@ class TestReports:
         write_report(str(path), {"value": value})
         assert parse_report(str(path))["value"] == value
 
+    # The value kinds ``run`` writes: counts, floats (nan and inf included),
+    # id tuples (the empty selection included) and objective names.
+    REPORT_VALUES = st.one_of(
+        st.integers(),
+        st.floats(),
+        st.tuples() | st.lists(st.integers(), max_size=6).map(tuple),
+        st.sampled_from(("coverage", "cut", "logdet", "seqdpp", "decomposable")),
+    )
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.from_regex(r"[a-z_]{1,16}", fullmatch=True), REPORT_VALUES))
+    def test_round_trip_fuzz(self, tmp_path, fields):
+        path = tmp_path / "report.txt"
+        write_report(str(path), fields)
+        # repr tells nan from nan-free values and -0.0 from 0.0.
+        assert repr(parse_report(str(path))) == repr(fields)
+
+    def test_malformed_report_names_the_line(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"value = 1.5\npushed 3\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_report(str(path))
+        path.write_bytes(b"objective = caf\xe9\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_report(str(path))
+
 
 class TestConfig:
     def test_kv_parsing(self, tmp_path):
@@ -401,6 +427,18 @@ class TestCli:
         )
         assert main(["run", "--config", str(config)]) == 0
 
+    def test_run_cut_with_denormal_weight(self, tmp_path, capsys):
+        # gamma = 2m * bound underflows to 0 for m = 5e-324; its log must not.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 5e-324\n")
+        stream = _write_stream(tmp_path, ["0,0.5,a", "1,0.5,b"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = cut\nedges = {edges}\nknapsacks = 1\n",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        assert "value = 5e-324" in capsys.readouterr().out
+
     def test_run_decomposable_objective(self, tmp_path):
         rows = [f"{i},0.1,g{i % 3}" for i in range(9)]
         stream = _write_stream(tmp_path, rows)
@@ -472,6 +510,8 @@ class TestCli:
             ("", ['{"id": 0, "features": "12"}'], "jsonl", "line 1"),
             ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
+            ("knapsacks = 1\neps = 1e-12", None, "csv", "eps = 1e-12 with k = 1073741824"),
+            ("knapsacks = 1\neps = 5e-324", None, "csv", "eps = 5e-324 with k = 1073741824"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
             (
                 "knapsacks = 1\ncapacities = inf", None, "csv",
@@ -523,7 +563,8 @@ class TestCli:
         ids=[
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
-            "jsonl-features-string", "jsonl-costs-string", "eps-nan", "capacity-nan",
+            "jsonl-features-string", "jsonl-costs-string", "eps-nan", "eps-tiny",
+            "eps-denormal", "capacity-nan",
             "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",
             "margin-nan", "capacities-no-knapsacks", "matchoid-p", "csv-field-too-long",
             "jsonl-too-deep", "jsonl-int-too-long", "jsonl-feature-overflow",

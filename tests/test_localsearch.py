@@ -311,6 +311,13 @@ class TestGrid:
             self._grid(ModularOracle({}), alpha=1.5)
         with pytest.raises(ConfigError):
             self._grid(ModularOracle({}), eps=math.nan)
+        # A window of log(k) / log1p(eps) runs: trillions, or an overflow.
+        for eps in (1e-12, 5e-324):
+            with pytest.raises(ConfigError, match="threshold runs"):
+                self._grid(ModularOracle({}), eps=eps)
+        # With k = 1 the window is one run wide, but rho = (1 + eps)^j is not.
+        with pytest.raises(ConfigError, match="must exceed 1"):
+            self._grid(ModularOracle({}), k=1, eps=5e-324)
 
     def test_k_required_with_knapsacks(self):
         from streamls import PredicateOracle
