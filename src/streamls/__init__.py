@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     StreamLsError,
 )
-from .indstream import IndStreamInstance, ProcessOutcome, backbone_alpha
+from .indstream import IndStreamInstance, ProcessOutcome
 from .localsearch import (
     ChainState,
     GridState,
@@ -49,7 +49,6 @@ from .objectives import (
     WeightedSumOracle,
     check_submodularity,
     load_kernel,
-    logdet_value,
     reservoir_sample,
     sample_size_bound,
     seqdpp_conditional_value,
@@ -101,7 +100,6 @@ __all__ = [
     "UniformMatroid",
     "ValueOracle",
     "WeightedSumOracle",
-    "backbone_alpha",
     "brute_opt",
     "chain_length",
     "check_submodularity",
@@ -109,7 +107,6 @@ __all__ = [
     "guarantee_bound",
     "load_kernel",
     "load_stream",
-    "logdet_value",
     "parse_report",
     "reservoir_sample",
     "sample_size_bound",

@@ -78,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_all(quick=args.quick, seed=args.seed, trials=args.trials)
+    results = verify_mod.run_all(seed=args.seed, trials=args.trials)
     ok = True
     for result in results:
         print(result.line())
@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--trials", type=int, default=0, help="override per-check trial counts"
     )
-    p_verify.add_argument("--quick", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -4,12 +4,12 @@ Each instance keeps one independent solution. A new element is taken
 outright when it fits and strictly improves the objective; when it is
 blocked, the cheapest single-element swap per blocked part is evicted
 if the newcomer's gain is at least twice the evicted weight (the rule
-``backbone_alpha`` declares its factor for). Every element the instance
-lets go is reported back so callers can route it onward. The
-density-gated variant additionally filters by gain per unit knapsack
-cost and freezes itself the first time a would-be acceptance overflows
-a knapsack, exposing the pre-overflow solution and the overflowing
-element as fallback candidates.
+each constraint's ``swap_alpha`` declares its factor for). Every
+element the instance lets go is reported back so callers can route it
+onward. The density-gated variant additionally filters by gain per unit
+knapsack cost and freezes itself the first time a would-be acceptance
+overflows a knapsack, exposing the pre-overflow solution and the
+overflowing element as fallback candidates.
 """
 
 from __future__ import annotations
@@ -21,14 +21,9 @@ from .errors import ConfigError, PreconditionError
 from .objectives import GAIN_TOL, Element, ValueOracle
 
 
-def backbone_alpha(constraint: IndependenceOracle) -> float | None:
-    """Declared approximation factor of the swap backbone: 1/(4p)."""
-    return constraint.swap_alpha
-
-
 def resolve_alpha(constraint: IndependenceOracle, alpha: float | None) -> float:
-    """The given alpha, or the backbone's declared factor when it is None."""
-    resolved = backbone_alpha(constraint) if alpha is None else float(alpha)
+    """The given alpha, or the constraint's declared ``swap_alpha`` when None."""
+    resolved = constraint.swap_alpha if alpha is None else float(alpha)
     if resolved is None:
         raise ConfigError(
             "alpha must be given explicitly for opaque independence oracles"
@@ -45,17 +40,26 @@ class ProcessOutcome:
 
 
 class IndStreamInstance:
-    """One streaming solution with swap-rule acceptance."""
+    """One streaming solution with swap-rule acceptance.
+
+    Its density threshold ``rho`` and ``knapsacks``, when given, are fixed
+    for its life: they make it the density-gated variant.
+    """
 
     def __init__(
         self,
         oracle: ValueOracle,
         constraint: IndependenceOracle,
+        rho: float | None = None,
+        knapsacks: KnapsackSpec | None = None,
+        *,
         empty_value: float | None = None,
     ):
         """``empty_value`` is f(empty) when the caller has it already."""
         self.oracle = oracle
         self.constraint = constraint
+        self.rho = rho
+        self.knapsacks = knapsacks
 
         self._solution: dict[int, Element] = {}
         self._weights: dict[int, float] = {}
@@ -118,20 +122,15 @@ class IndStreamInstance:
         return ProcessOutcome(True, evicted)
 
     def process(
-        self,
-        e: Element,
-        rho: float | None = None,
-        knapsacks: KnapsackSpec | None = None,
-        *,
-        singleton_value: float | None = None,
+        self, e: Element, *, singleton_value: float | None = None
     ) -> ProcessOutcome:
-        """Swap-rule update, density-gated when ``rho`` is given.
+        """Swap-rule update with ``e``, gated as the instance was built.
 
-        With knapsacks, a would-be acceptance that overflows one records
-        the overflow and freezes the instance. ``singleton_value`` is
-        f({e}) when the caller has it already; an empty instance uses it
-        instead of evaluating f on the same set again.
+        ``singleton_value`` is f({e}) when the caller has it already; an
+        empty instance uses it instead of evaluating f on the same set
+        again.
         """
+        rho, knapsacks = self.rho, self.knapsacks
         self.processed += 1
         if self._frozen:
             return self._reject(e)
@@ -173,14 +172,13 @@ class IndStreamInstance:
             if gain < 2.0 * sum(self._weights[x.id] for x in evicted):
                 return self._reject(e)
 
-        if knapsacks is not None and knapsacks.d > 0:
-            if not knapsacks.feasible((s | {e}) - evicted):
-                # Theorem-2 fallback pair: the feasible solution just
-                # before the overflow, and the overflowing element itself.
-                self._overflow = (s, e)
-                self._frozen = True
-                self._note_memory()
-                return self._reject(e)
+        if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):
+            # Theorem-2 fallback pair: the feasible solution just before
+            # the overflow, and the overflowing element itself.
+            self._overflow = (s, e)
+            self._frozen = True
+            self._note_memory()
+            return self._reject(e)
 
         return self._commit(e, gain, evicted)
 

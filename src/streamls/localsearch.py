@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .constraints import IndependenceOracle, KnapsackSpec
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .indstream import IndStreamInstance, resolve_alpha
 from .objectives import GAIN_TOL, Element, ValueOracle
 from .unconstrained import DoubleGreedyConfig, unconstrained_max
@@ -111,15 +111,14 @@ class ChainState:
         """``empty_value`` is f(empty) when the caller has it already."""
         self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
-        self.beta = prune.beta
         self.rho = rho
-        self.knapsacks = knapsacks
-        self.q = chain_length(self.alpha, self.beta)
+        self.q = chain_length(self.alpha, prune.beta)
         self.oracle = oracle
         if empty_value is None:
             empty_value = oracle.value(frozenset())
         self.instances = tuple(
-            IndStreamInstance(oracle, constraint, empty_value) for _ in range(self.q)
+            IndStreamInstance(oracle, constraint, rho, knapsacks, empty_value=empty_value)
+            for _ in range(self.q)
         )
         self.processed = 0
         self.dropped = 0
@@ -177,10 +176,7 @@ class ChainState:
             discarded: list[Element] = []
             for x in sorted(batch, key=lambda el: el.id):
                 outcome = inst.process(
-                    x,
-                    self.rho,
-                    self.knapsacks,
-                    singleton_value=singleton_value if x is e else None,
+                    x, singleton_value=singleton_value if x is e else None
                 )
                 discarded.extend(outcome.discarded)
             batch = discarded
@@ -255,7 +251,11 @@ class GridState:
             k = constraint.rank_hint
         if k is None or k < 1:
             raise ConfigError("k (bound on the largest feasible solution) is required")
-        runs = math.log(k) / math.log1p(eps)
+        # The window is [log(gamma), log(gamma) + log(k)] in units of
+        # log1p(eps), with log(gamma) = log(2 * bound) + log(m).
+        self._log_base = math.log1p(eps)
+        self._log_k = math.log(k)
+        runs = self._log_k / self._log_base
         if runs > _MAX_RUNS or 1.0 + eps == 1.0:
             raise ConfigError(
                 f"eps = {eps} with k = {k} spans about {runs:.3g} threshold runs;"
@@ -268,6 +268,8 @@ class GridState:
         self.eps = float(eps)
         self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
+        bound = guarantee_bound(self.alpha, prune.beta, knapsacks.d, 0.0)
+        self._log_2bound = math.log(2.0 * bound)
         # f(empty), computed once and shared by every run.
         self._empty = oracle.value(frozenset())
 
@@ -301,20 +303,24 @@ class GridState:
             empty_value=self._empty,
         )
 
-    def gamma(self) -> float:
-        """Low end of the threshold window: 2m over the bound product."""
-        return 2.0 * self.m * guarantee_bound(self.alpha, self.prune.beta, self.knapsacks.d, 0.0)
+    def _threshold(self, j: int) -> float:
+        """rho_j = (1 + eps)^j; one past the float range is a DomainError."""
+        try:
+            return (1.0 + self.eps) ** j
+        except OverflowError:
+            raise DomainError(
+                f"threshold (1 + eps)^{j} overflows at singleton value {self.m}"
+                f" and k = {self.k}; rescale the objective or lower k"
+            ) from None
 
     def _active_window(self) -> tuple[int, int]:
         # lo is biased down and hi up so float noise can only widen the
         # window: the run bracketing the unknown optimum must never be cut.
-        # log(gamma) is summed from its factors: 2m * bound underflows to 0
-        # when m is denormal.
-        base = math.log1p(self.eps)
-        bound = guarantee_bound(self.alpha, self.prune.beta, self.knapsacks.d, 0.0)
-        log_gamma = math.log(2.0 * bound) + math.log(self.m)
-        lo = math.floor(log_gamma / base - _CEIL_EPS)
-        hi = math.floor((log_gamma + math.log(self.k)) / base + _CEIL_EPS)
+        # log(gamma) is summed from its factors: gamma = 2m * bound
+        # underflows to 0 when m is denormal.
+        log_gamma = self._log_2bound + math.log(self.m)
+        lo = math.floor(log_gamma / self._log_base - _CEIL_EPS)
+        hi = math.floor((log_gamma + self._log_k) / self._log_base + _CEIL_EPS)
         return lo, hi
 
     def _move_window(self) -> None:
@@ -327,7 +333,7 @@ class GridState:
             self.retired += 1
         for j in range(lo, hi + 1):
             if j not in self.runs:
-                self.runs[j] = self._new_chain(rho=(1.0 + self.eps) ** j)
+                self.runs[j] = self._new_chain(rho=self._threshold(j))
         self.max_active_runs = max(self.max_active_runs, len(self.runs))
 
     def process(self, e: Element) -> None:

@@ -106,7 +106,8 @@ class CutOracle(ValueOracle):
 
     Symmetric and non-monotone; f(empty) = f(all nodes) = 0. Weights
     must be finite and non-negative: a negative weight breaks
-    submodularity.
+    submodularity. Their sum, taken in edge order as ``value`` takes it,
+    must be finite too, so that every cut value is.
     """
 
     def __init__(
@@ -116,13 +117,17 @@ class CutOracle(ValueOracle):
     ):
         self._edges = [(int(u), int(v), float(w)) for u, v, w in edges]
         known = set() if nodes is None else set(nodes)
+        total = 0.0
         for u, v, w in self._edges:
             if not 0.0 <= w < math.inf:
                 raise ConfigError(
                     f"edge ({u}, {v}) weight {w} is negative or not finite"
                 )
+            total += w
             known.add(u)
             known.add(v)
+        if total == math.inf:
+            raise ConfigError("the edge weights sum past the float range")
         self._nodes = frozenset(known)
 
     def value(self, elements: Iterable[Element]) -> float:
@@ -266,28 +271,19 @@ def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     return total, clamped
 
 
-def _logdet_warned(matrix: np.ndarray, stacklevel: int) -> tuple[float, bool]:
+def _logdet_warned(matrix: np.ndarray) -> tuple[float, bool]:
     """``_logdet_floored``, with a RuntimeWarning when a pivot was clamped.
 
-    ``stacklevel`` counts from the caller, as in ``warnings.warn``.
+    Called from an oracle's ``value()``; the warning names that call's caller.
     """
     value, clamped = _logdet_floored(matrix)
     if clamped:
         warnings.warn(
             "log-det pivot clamped at floor; kernel submatrix is near singular",
             RuntimeWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
     return value, clamped
-
-
-def logdet_value(kernel: DppKernel, elements: Iterable[Element]) -> float:
-    """log det of the kernel restricted to ``elements``, plus the offset.
-
-    Near-singular submatrices are clamped at the pivot floor and flagged
-    with a RuntimeWarning rather than raised.
-    """
-    return _logdet_warned(kernel.submatrix(elements), 2)[0] + kernel.offset
 
 
 class LogDetOracle(ValueOracle):
@@ -297,7 +293,7 @@ class LogDetOracle(ValueOracle):
         self.kernel = kernel
 
     def value(self, elements: Iterable[Element]) -> float:
-        value, clamped = _logdet_warned(self.kernel.submatrix(elements), 1)
+        value, clamped = _logdet_warned(self.kernel.submatrix(elements))
         if clamped:
             self.clamped = True
         return value + self.kernel.offset
@@ -370,7 +366,7 @@ class SequentialDppOracle(ValueOracle):
             raise DomainError(
                 f"elements {sorted(e.id for e in overlap)} are already conditioned on"
             )
-        raw, clamped = _logdet_warned(self.kernel.submatrix(chosen | self.prev), 2)
+        raw, clamped = _logdet_warned(self.kernel.submatrix(chosen | self.prev))
         if clamped:
             self.clamped = True
         return raw - self._base + self.kernel.offset

@@ -58,14 +58,23 @@ class Instance:
 @dataclass
 class CheckResult:
     name: str
-    trials: int
-    violations: int
-    worst_margin: float
+    trials: int = 0
+    violations: int = 0
+    worst_margin: float = math.inf
     detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+    def record(self, margin: float, violated: bool, detail: str = "") -> None:
+        """Count one trial; a violation's ``detail`` is kept for the first."""
+        self.trials += 1
+        self.worst_margin = min(self.worst_margin, margin)
+        if violated:
+            if not self.violations and detail:
+                self.detail = detail
+            self.violations += 1
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -145,13 +154,12 @@ _BLOCK_LABELS = ("b0", "b1", "b2")
 
 def _constraint(
     rng: random.Random, n: int
-) -> tuple[str, IndependenceOracle, dict[int, frozenset[str]], int, float]:
-    """Returns (kind, oracle, per-element groups, k, alpha)."""
+) -> tuple[str, IndependenceOracle, dict[int, frozenset[str]]]:
+    """Returns (kind, oracle, per-element groups)."""
     kind = rng.choice(("uniform", "partition", "matchoid"))
     groups: dict[int, frozenset[str]] = {i: frozenset() for i in range(n)}
     if kind == "uniform":
-        limit = rng.randint(1, 4)
-        return kind, UniformMatroid(limit), groups, limit, 0.25
+        return kind, UniformMatroid(rng.randint(1, 4)), groups
     if kind == "partition":
         blocks = rng.randint(2, 3)
         labels = _BLOCK_LABELS[:blocks]
@@ -159,8 +167,7 @@ def _constraint(
         for i in range(n):
             groups[i] = frozenset({rng.choice(labels)})
         limits = {label: rng.randint(1, 2) for label in labels}
-        matroid = PartitionMatroid(limits)
-        return kind, matroid, groups, sum(limits.values()), 0.25
+        return kind, PartitionMatroid(limits), groups
     ids = list(range(n))
     rng.shuffle(ids)
     split = rng.randint(1, n - 1)
@@ -172,13 +179,7 @@ def _constraint(
     matchoid = Matchoid(
         [(UniformMatroid(limit_a), ground_a), (UniformMatroid(limit_b), ground_b)]
     )
-    return (
-        kind,
-        matchoid,
-        groups,
-        limit_a + limit_b,
-        1.0 / (4.0 * matchoid.p),
-    )
+    return kind, matchoid, groups
 
 
 def random_instance(
@@ -188,7 +189,7 @@ def random_instance(
 ) -> Instance:
     mix = rng.choice(kinds)
     n = rng.randint(6, 10 if mix == "logdet" else 12)
-    ckind, constraint, groups, k, alpha = _constraint(rng, n)
+    ckind, constraint, groups = _constraint(rng, n)
     elements = [
         Element(
             id=i,
@@ -206,8 +207,8 @@ def random_instance(
         oracle=oracle,
         constraint=constraint,
         knapsacks=KnapsackSpec(d) if d else None,
-        alpha=alpha,
-        k=k,
+        alpha=constraint.swap_alpha,
+        k=constraint.rank_hint,
     )
 
 
@@ -219,44 +220,36 @@ def random_instance(
 def check_guarantee_formulas() -> CheckResult:
     """Closed-form factors match the published constants to 1e-12."""
     tol = 1e-12
-    violations = 0
-    worst = math.inf
-    trials = 0
+    result = CheckResult("guarantee-formula-exactness")
+
+    def compare(got: float, want: float) -> None:
+        result.record(tol - abs(got - want), abs(got - want) > tol)
+
     for p in (1, 2, 3, 4):
         got = guarantee_bound(1.0 / (4.0 * p), 0.5, 0, 0.0)
-        want = 1.0 / (1.0 + 2.0 * math.sqrt(p)) ** 2
-        trials += 1
-        worst = min(worst, tol - abs(got - want))
-        if abs(got - want) > tol:
-            violations += 1
+        compare(got, 1.0 / (1.0 + 2.0 * math.sqrt(p)) ** 2)
         for d in (1, 2, 3):
             for eps in (0.0, 0.1):
                 got = guarantee_bound(1.0 / (4.0 * p), 0.5, d, eps)
                 want = (1.0 - eps) / (
                     1.0 + 4.0 * p + 4.0 * math.sqrt(p) + d * (2.0 + 1.0 / math.sqrt(p))
                 )
-                trials += 1
-                worst = min(worst, tol - abs(got - want))
-                if abs(got - want) > tol:
-                    violations += 1
+                compare(got, want)
     # d = 0 reduction equals the independence-system-only constant.
     for alpha in (1.0, 0.5, 0.25, 0.125, 1.0 / 12.0):
         for beta in (0.5, 1.0 / 3.0):
             got = guarantee_bound(alpha, beta, 0, 0.0)
             root = 1.0 / math.sqrt(alpha) + 1.0 / math.sqrt(2.0 * beta)
             want = math.sqrt(2.0 * beta) / root**2 * (1.0 / math.sqrt(2.0 * beta))
-            trials += 1
-            worst = min(worst, tol - abs(got - want))
-            if abs(got - want) > tol:
-                violations += 1
-    return CheckResult("guarantee-formula-exactness", trials, violations, worst)
+            compare(got, want)
+    return result
 
 
-def _streamed(
+def _session(
     instance: Instance, prune: DoubleGreedyConfig, eps: float = 0.2
-) -> ChainState | GridState:
-    """Push the instance's stream through a session; return its engine."""
-    session = StreamingSession(
+) -> StreamingSession:
+    """A fresh session over the instance's oracle, constraint and knapsacks."""
+    return StreamingSession(
         instance.oracle,
         instance.constraint,
         instance.knapsacks,
@@ -265,44 +258,50 @@ def _streamed(
         alpha=instance.alpha,
         prune=prune,
     )
+
+
+def _streamed(
+    instance: Instance, prune: DoubleGreedyConfig, eps: float = 0.2
+) -> ChainState | GridState:
+    """Push the instance's stream through a session; return its engine."""
+    session = _session(instance, prune, eps)
     for e in instance.elements:
         session.push(e)
     return session.engine
+
+
+def _short_of(margin: float, opt: float) -> bool:
+    """True when ``margin`` falls below zero by more than the float slack."""
+    return margin < -BOUND_SLACK * max(1.0, abs(opt))
 
 
 def check_alg1_bound(trials: int = 300, seed: int = 1) -> CheckResult:
     """Chain output vs brute-force optimum at the proven factor."""
     rng = random.Random(seed)
     prune = DoubleGreedyConfig()
-    violations = 0
-    worst = math.inf
-    detail = ""
+    result = CheckResult("alg1-end-to-end-bound")
     for _ in range(trials):
         instance = random_instance(rng)
-        chain = _streamed(instance, prune)
-        got = chain.finalize().value
+        got = _streamed(instance, prune).finalize().value
         opt = brute_opt(instance.oracle, instance.elements, instance.constraint)
         bound = guarantee_bound(instance.alpha, prune.beta, 0, 0.0)
         margin = got - bound * opt.best_value
-        worst = min(worst, margin)
-        if margin < -BOUND_SLACK * max(1.0, abs(opt.best_value)):
-            violations += 1
-            if not detail:
-                detail = f"first violation on {instance.name}"
-    return CheckResult("alg1-end-to-end-bound", trials, violations, worst, detail)
+        result.record(
+            margin,
+            _short_of(margin, opt.best_value),
+            f"first violation on {instance.name}",
+        )
+    return result
 
 
 def check_alg2_bound(trials: int = 300, seed: int = 2, eps: float = 0.2) -> CheckResult:
     """Grid output vs constrained optimum; output must stay feasible."""
     rng = random.Random(seed)
     prune = DoubleGreedyConfig()
-    violations = 0
-    worst = math.inf
-    detail = ""
+    result = CheckResult("alg2-end-to-end-bound")
     for t in range(trials):
         instance = random_instance(rng, d=1 + t % 2)
-        grid = _streamed(instance, prune, eps)
-        final = grid.finalize()
+        final = _streamed(instance, prune, eps).finalize()
         assert instance.knapsacks is not None
         feasible = instance.constraint.is_independent(
             final.elements
@@ -317,20 +316,19 @@ def check_alg2_bound(trials: int = 300, seed: int = 2, eps: float = 0.2) -> Chec
             instance.alpha, prune.beta, instance.knapsacks.d, eps
         )
         margin = final.value - bound * opt.best_value
-        worst = min(worst, margin)
-        if not feasible or margin < -BOUND_SLACK * max(1.0, abs(opt.best_value)):
-            violations += 1
-            if not detail:
-                why = "infeasible output" if not feasible else "bound violation"
-                detail = f"first {why} on {instance.name}"
-    return CheckResult("alg2-end-to-end-bound", trials, violations, worst, detail)
+        why = "infeasible output" if not feasible else "bound violation"
+        result.record(
+            margin,
+            not feasible or _short_of(margin, opt.best_value),
+            f"first {why} on {instance.name}",
+        )
+    return result
 
 
 def check_backbone_monotone(trials: int = 200, seed: int = 3) -> CheckResult:
     """Single swap-greedy instance: 1/4 of OPT for monotone coverage."""
     rng = random.Random(seed)
-    violations = 0
-    worst = math.inf
+    result = CheckResult("monotone-backbone-quarter")
     for _ in range(trials):
         n = rng.randint(6, 12)
         ids = list(range(n))
@@ -345,27 +343,22 @@ def check_backbone_monotone(trials: int = 200, seed: int = 3) -> CheckResult:
         got = oracle.value(inst.current_solution())
         opt = brute_opt(oracle, elements, constraint)
         margin = got - 0.25 * opt.best_value
-        worst = min(worst, margin)
-        if margin < -BOUND_SLACK * max(1.0, opt.best_value):
-            violations += 1
-    return CheckResult("monotone-backbone-quarter", trials, violations, worst)
+        result.record(margin, _short_of(margin, opt.best_value))
+    return result
 
 
 def check_double_greedy_deterministic(trials: int = 300, seed: int = 4) -> CheckResult:
     """Deterministic double greedy: a third of the unconstrained optimum."""
     rng = random.Random(seed)
-    violations = 0
-    worst = math.inf
+    result = CheckResult("double-greedy-deterministic-third")
     for _ in range(trials):
         instance = random_instance(rng, kinds=("coverage", "cut", "mix"))
-        result = unconstrained_max(instance.oracle, instance.elements)
-        got = instance.oracle.value(result)
+        chosen = unconstrained_max(instance.oracle, instance.elements)
+        got = instance.oracle.value(chosen)
         opt = brute_opt(instance.oracle, instance.elements)
         margin = got - opt.best_value / 3.0
-        worst = min(worst, margin)
-        if margin < -BOUND_SLACK * max(1.0, opt.best_value):
-            violations += 1
-    return CheckResult("double-greedy-deterministic-third", trials, violations, worst)
+        result.record(margin, _short_of(margin, opt.best_value))
+    return result
 
 
 def check_double_greedy_randomized(
@@ -373,33 +366,28 @@ def check_double_greedy_randomized(
 ) -> CheckResult:
     """Randomized rule: seed-averaged value within 3 SEs of OPT/2."""
     rng = random.Random(seed)
-    violations = 0
-    worst = math.inf
+    result = CheckResult(
+        "double-greedy-randomized-half", detail=f"{seeds} seeds per instance"
+    )
     for _ in range(instances):
         instance = random_instance(rng, kinds=("cut", "mix"))
         opt = brute_opt(instance.oracle, instance.elements)
         values = []
         for s in range(seeds):
             cfg = DoubleGreedyConfig(mode="randomized", seed=s)
-            result = unconstrained_max(instance.oracle, instance.elements, cfg)
-            values.append(instance.oracle.value(result))
+            chosen = unconstrained_max(instance.oracle, instance.elements, cfg)
+            values.append(instance.oracle.value(chosen))
         mean = float(np.mean(values))
         stderr = float(np.std(values, ddof=1)) / math.sqrt(len(values))
         margin = mean - (0.5 * opt.best_value - 3.0 * stderr)
-        worst = min(worst, margin)
-        if margin < -BOUND_SLACK * max(1.0, opt.best_value):
-            violations += 1
-    return CheckResult(
-        "double-greedy-randomized-half", instances, violations, worst,
-        f"{seeds} seeds per instance",
-    )
+        result.record(margin, _short_of(margin, opt.best_value))
+    return result
 
 
 def check_memory_accounting(trials: int = 40, seed: int = 6, eps: float = 0.2) -> CheckResult:
     """High-water counters obey the chain and grid memory bounds."""
     rng = random.Random(seed)
-    violations = 0
-    worst = math.inf
+    result = CheckResult("memory-accounting")
     for t in range(trials):
         instance = random_instance(rng, d=1 + t % 2)
         grid = _streamed(instance, DoubleGreedyConfig(), eps)
@@ -414,10 +402,8 @@ def check_memory_accounting(trials: int = 40, seed: int = 6, eps: float = 0.2) -
         margin = min(
             margin, float(grid.max_active_runs * chain_bound - grid.high_water)
         )
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-    return CheckResult("memory-accounting", trials, violations, worst)
+        result.record(margin, margin < 0)
+    return result
 
 
 def check_conservation(
@@ -499,29 +485,15 @@ def check_decomposable(trials: int = 100, seed: int = 8) -> CheckResult:
 def check_anytime(seed: int = 9, trials: int = 20) -> CheckResult:
     """Mid-stream snapshots must not disturb the final state."""
     rng = random.Random(seed)
-    violations = 0
+    result = CheckResult("anytime-snapshots")
     for t in range(trials):
         d = t % 3  # mix plain chains and grids
         instance = random_instance(rng, d=d)
         mode = "randomized" if t % 2 else "deterministic"
         prune = DoubleGreedyConfig(mode=mode, seed=11)
+        baseline = _streamed(instance, prune).finalize()
 
-        def session() -> StreamingSession:
-            return StreamingSession(
-                instance.oracle,
-                instance.constraint,
-                instance.knapsacks,
-                k=instance.k,
-                alpha=instance.alpha,
-                prune=prune,
-            )
-
-        fresh = session()
-        for e in instance.elements:
-            fresh.push(e)
-        baseline = fresh.snapshot()
-
-        probed = session()
+        probed = _session(instance, prune)
         n = len(instance.elements)
         marks = {n // 4, n // 2, 3 * n // 4}
         for i, e in enumerate(instance.elements):
@@ -529,37 +501,29 @@ def check_anytime(seed: int = 9, trials: int = 20) -> CheckResult:
             if i + 1 in marks:
                 probed.snapshot()
         final = probed.snapshot()
-        if final.ids != baseline.ids or final.value != baseline.value:
-            violations += 1
-    return CheckResult("anytime-snapshots", trials, violations, 0.0)
+        result.record(0.0, final.ids != baseline.ids or final.value != baseline.value)
+    return result
 
 
-def run_all(quick: bool = False, seed: int = 0, trials: int = 0) -> list[CheckResult]:
+def run_all(seed: int = 0, trials: int = 0) -> list[CheckResult]:
     """Every check; a non-zero ``trials`` replaces each check's count.
 
     For conservation the count is the number of 1,000-element checkpoints.
+    The randomized double-greedy check keeps its 500 seeds per instance.
     """
     if trials < 0:
         raise ConfigError(f"trials must be non-negative, got {trials}")
-    scale = 0.2 if quick else 1.0
-
-    def n(x: int, floor: int = 10) -> int:
-        return max(floor, int(x * scale))
-
-    def count(x: int, floor: int = 10) -> int:
-        return trials or n(x, floor)
-
     return [
         check_guarantee_formulas(),
-        check_alg1_bound(trials=count(300), seed=seed + 1),
-        check_alg2_bound(trials=count(300), seed=seed + 2),
-        check_backbone_monotone(trials=count(200), seed=seed + 3),
-        check_double_greedy_deterministic(trials=count(300), seed=seed + 4),
+        check_alg1_bound(trials=trials or 300, seed=seed + 1),
+        check_alg2_bound(trials=trials or 300, seed=seed + 2),
+        check_backbone_monotone(trials=trials or 200, seed=seed + 3),
+        check_double_greedy_deterministic(trials=trials or 300, seed=seed + 4),
         check_double_greedy_randomized(
-            instances=count(25, 5), seeds=n(500), seed=seed + 5
+            instances=trials or 25, seeds=500, seed=seed + 5
         ),
-        check_memory_accounting(trials=count(40), seed=seed + 6),
-        check_conservation(stream_size=1_000 * count(100, 20), seed=seed + 7),
-        check_decomposable(trials=count(100), seed=seed + 8),
-        check_anytime(seed=seed + 9, trials=count(20, 6)),
+        check_memory_accounting(trials=trials or 40, seed=seed + 6),
+        check_conservation(stream_size=1_000 * (trials or 100), seed=seed + 7),
+        check_decomposable(trials=trials or 100, seed=seed + 8),
+        check_anytime(seed=seed + 9, trials=trials or 20),
     ]

@@ -17,7 +17,6 @@ from streamls import (
     PredicateOracle,
     PreconditionError,
     UniformMatroid,
-    backbone_alpha,
     brute_opt,
 )
 from streamls.verify import random_instance
@@ -85,12 +84,12 @@ class TestSwapRule:
             inst.process(Element(id=0))
 
     def test_declared_alpha(self):
-        assert backbone_alpha(UniformMatroid(3)) == 0.25
-        assert backbone_alpha(PartitionMatroid({"a": 1, "b": 2})) == 0.25
+        assert UniformMatroid(3).swap_alpha == 0.25
+        assert PartitionMatroid({"a": 1, "b": 2}).swap_alpha == 0.25
         matchoid = Matchoid(
             [(UniformMatroid(1), frozenset({0, 1})), (UniformMatroid(1), frozenset({1, 2}))]
         )
-        assert backbone_alpha(matchoid) == pytest.approx(1.0 / 8.0)
+        assert matchoid.swap_alpha == pytest.approx(1.0 / 8.0)
 
     def test_feasibility_invariant_fuzz(self):
         rng = random.Random(31)
@@ -146,16 +145,14 @@ class TestSwapRule:
 class TestDensityGate:
     def test_density_above_threshold_passes(self):
         oracle = ModularOracle({0: 1.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(3))
-        out = inst.process_with_threshold(costed(0, 0.5), rho=1.5, knapsacks=KnapsackSpec(1))
+        inst = IndStreamInstance(oracle, UniformMatroid(3), rho=1.5, knapsacks=KnapsackSpec(1))
+        out = inst.process_with_threshold(costed(0, 0.5))
         assert out.accepted  # density 2.0 >= 1.5
 
     def test_density_below_threshold_rejects(self):
         oracle = ModularOracle({0: 1.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(3))
-        out = inst.process_with_threshold(
-            costed(0, 0.5, 0.5), rho=1.5, knapsacks=KnapsackSpec(2)
-        )
+        inst = IndStreamInstance(oracle, UniformMatroid(3), rho=1.5, knapsacks=KnapsackSpec(2))
+        out = inst.process_with_threshold(costed(0, 0.5, 0.5))
         assert not out.accepted  # density 1.0 < 1.5
 
     def test_zero_threshold_matches_plain_process(self):
@@ -163,19 +160,20 @@ class TestDensityGate:
         for _ in range(25):
             instance = random_instance(rng)
             plain = IndStreamInstance(instance.oracle, instance.constraint)
-            gated = IndStreamInstance(instance.oracle, instance.constraint)
+            gated = IndStreamInstance(
+                instance.oracle, instance.constraint, rho=0.0, knapsacks=None
+            )
             for e in instance.elements:
                 a = plain.process(e)
-                b = gated.process_with_threshold(e, rho=0.0, knapsacks=None)
+                b = gated.process_with_threshold(e)
                 assert a == b
             assert plain.current_solution() == gated.current_solution()
 
     def test_zero_cost_element_needs_positive_gain(self):
         oracle = ModularOracle({0: 1.0, 1: 0.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(3))
-        spec = KnapsackSpec(1)
-        assert inst.process_with_threshold(costed(0, 0.0), rho=5.0, knapsacks=spec).accepted
-        assert not inst.process_with_threshold(costed(1, 0.0), rho=5.0, knapsacks=spec).accepted
+        inst = IndStreamInstance(oracle, UniformMatroid(3), rho=5.0, knapsacks=KnapsackSpec(1))
+        assert inst.process_with_threshold(costed(0, 0.0)).accepted
+        assert not inst.process_with_threshold(costed(1, 0.0)).accepted
 
     def test_fresh_instance_state(self):
         inst = IndStreamInstance(ModularOracle({}), UniformMatroid(2))
@@ -186,24 +184,23 @@ class TestDensityGate:
 class TestOverflow:
     def test_overflow_freezes_and_records(self):
         oracle = ModularOracle({0: 1.0, 1: 1.1, 2: 9.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(5))
-        spec = KnapsackSpec(1)
-        assert inst.process_with_threshold(costed(0, 0.6), rho=0.0, knapsacks=spec).accepted
-        out = inst.process_with_threshold(costed(1, 0.6), rho=0.0, knapsacks=spec)
+        inst = IndStreamInstance(oracle, UniformMatroid(5), rho=0.0, knapsacks=KnapsackSpec(1))
+        assert inst.process_with_threshold(costed(0, 0.6)).accepted
+        out = inst.process_with_threshold(costed(1, 0.6))
         assert not out.accepted
         assert out.discarded == frozenset({Element(id=1)})
         before, last = inst.overflow_record()
         assert before == frozenset({Element(id=0)})
         assert last == Element(id=1)
         # Frozen: even a huge in-budget element is passed along untouched.
-        out = inst.process_with_threshold(costed(2, 0.1), rho=0.0, knapsacks=spec)
+        out = inst.process_with_threshold(costed(2, 0.1))
         assert not out.accepted
         assert inst.current_solution() == frozenset({Element(id=0)})
 
     def test_singleton_infeasible_cost_never_enters(self):
         oracle = ModularOracle({0: 100.0})
-        inst = IndStreamInstance(oracle, UniformMatroid(5))
-        out = inst.process_with_threshold(costed(0, 1.5), rho=0.0, knapsacks=KnapsackSpec(1))
+        inst = IndStreamInstance(oracle, UniformMatroid(5), rho=0.0, knapsacks=KnapsackSpec(1))
+        out = inst.process_with_threshold(costed(0, 1.5))
         assert not out.accepted
         assert inst.overflow_record() is None  # skipped, not an overflow
 
@@ -212,9 +209,11 @@ class TestOverflow:
         spec = KnapsackSpec(2)
         for _ in range(30):
             instance = random_instance(rng, d=2)
-            inst = IndStreamInstance(instance.oracle, instance.constraint)
+            inst = IndStreamInstance(
+                instance.oracle, instance.constraint, rho=0.05, knapsacks=spec
+            )
             for e in instance.elements:
-                inst.process_with_threshold(e, rho=0.05, knapsacks=spec)
+                inst.process_with_threshold(e)
                 assert spec.feasible(inst.current_solution())
 
 

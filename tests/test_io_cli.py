@@ -307,6 +307,81 @@ class TestConfigFuzz:
         assert isinstance(constraint, IndependenceOracle)
 
 
+# Stream rows are either well shaped, with a field of the expected kind
+# at each place, or arbitrary: CSV cells that mix numbers, free text and
+# the characters the csv dialect treats specially, and JSON values that
+# nest lists and objects a few levels deep.
+_CELL = st.one_of(
+    _NUMBER, _FREE_TEXT, st.sampled_from(['"', '""', ",", "\n", "\r", "\x00", "a;b"])
+)
+
+
+def _csv_rows(d):
+    shaped = st.tuples(
+        st.one_of(_SMALL_INT, _CELL),
+        st.lists(_NUMBER, min_size=d, max_size=d),
+        _FREE_TEXT,
+        _NUMBER,
+    ).map(lambda t: ",".join([t[0], *t[1], t[2], t[3]]))
+    arbitrary = st.lists(_CELL, max_size=5).map(",".join)
+    return st.lists(st.one_of(shaped, arbitrary), max_size=6)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _FREE_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_FREE_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_FLOATS = st.lists(st.floats(), max_size=3)
+_JSON_ROW = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.integers() | _JSON,
+        "features": _FLOATS | _JSON,
+        "costs": _FLOATS | _JSON,
+        "groups": st.lists(_FREE_TEXT, max_size=3) | _JSON,
+    },
+)
+_JSONL_LINE = st.one_of(_JSON_ROW.map(json.dumps), _JSON.map(json.dumps), _FREE_TEXT)
+
+
+class TestIngestFuzz:
+    """Any stream file yields elements or fails with a parse/config error."""
+
+    @staticmethod
+    def _load(path, fmt, d):
+        try:
+            elements = list(load_stream(str(path), fmt, d=d))
+        except (ConfigError, ParseError):
+            return
+        assert all(isinstance(e, Element) and len(e.costs) == d for e in elements)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(0, 2).flatmap(lambda d: st.tuples(st.just(d), _csv_rows(d))))
+    def test_csv_rows_load_or_refuse(self, tmp_path, d_rows):
+        d, rows = d_rows
+        header = ",".join(["id", *(f"cost_{j}" for j in range(1, d + 1)), "groups", "f0"])
+        path = tmp_path / "stream.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        self._load(path, "csv", d)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(0, 2), st.lists(_JSONL_LINE, max_size=6))
+    def test_jsonl_lines_load_or_refuse(self, tmp_path, d, lines):
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        self._load(path, "jsonl", d)
+
+
 def _write_stream(tmp_path, rows, header="id,cost_1,groups"):
     path = tmp_path / "stream.csv"
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
@@ -438,6 +513,43 @@ class TestCli:
         )
         assert main(["run", "--config", str(config)]) == 0
         assert "value = 5e-324" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edges, setting, needle",
+        [
+            # One edge: f({0}) = 1e308, and gamma * k with k = 2^30 is past
+            # the float range, so the window's top threshold overflows.
+            ("0 1 1e308\n", "knapsacks = 1\nconstraint = none\n", "overflows"),
+            # Two edges: f({1}) = 2e308 is infinite, with or without a grid.
+            ("0 1 1e308\n1 2 1e308\n", "knapsacks = 1\n", "float range"),
+            ("0 1 1e308\n1 2 1e308\n", "constraint = uniform:2\n", "float range"),
+        ],
+        ids=["threshold", "sum-grid", "sum-chain"],
+    )
+    def test_run_cut_past_the_float_range_exits_two(
+        self, tmp_path, capsys, edges, setting, needle
+    ):
+        (tmp_path / "edges.txt").write_text(edges)
+        stream = _write_stream(tmp_path, ["0,0.5,a", "1,0.5,b", "2,0.5,c"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = cut\nedges = {tmp_path / 'edges.txt'}\n"
+            + setting,
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_run_cut_near_the_float_limit_with_small_k(self, tmp_path, capsys):
+        # With k = 2 every threshold of the window stays finite.
+        (tmp_path / "edges.txt").write_text("0 1 1e308\n")
+        stream = _write_stream(tmp_path, ["0,0.5,a", "1,0.5,b", "2,0.5,c"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = cut\nedges = {tmp_path / 'edges.txt'}\n"
+            "knapsacks = 1\nconstraint = none\nk = 2\n",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        assert "value = 1e+308" in capsys.readouterr().out
 
     def test_run_decomposable_objective(self, tmp_path):
         rows = [f"{i},0.1,g{i % 3}" for i in range(9)]

@@ -199,13 +199,6 @@ class TestGrid:
             prune=prune,
         )
 
-    def test_gamma_formula(self):
-        # m=1, alpha=1/4, d=1, beta=1/2: 2/((1+2)(1+2+1)) = 1/6.
-        grid = self._grid(ModularOracle({0: 1.0}))
-        grid.process(costed(0, 0.01))
-        assert grid.m == 1.0
-        assert grid.gamma() == pytest.approx(1.0 / 6.0)
-
     def test_first_element_creates_grid(self):
         grid = self._grid(ModularOracle({0: 1.0}))
         assert not grid.runs
@@ -381,7 +374,7 @@ class ReferenceChain(ChainState):
         for inst in self.instances:
             discarded = []
             for x in sorted(batch, key=lambda el: el.id):
-                discarded.extend(inst.process(x, self.rho, self.knapsacks).discarded)
+                discarded.extend(inst.process(x).discarded)
             batch = discarded
             if not batch:
                 break

@@ -22,7 +22,6 @@ from streamls import (
     WeightedSumOracle,
     check_submodularity,
     load_kernel,
-    logdet_value,
     reservoir_sample,
     sample_size_bound,
     seqdpp_conditional_value,
@@ -68,18 +67,24 @@ class TestCoverageAndCut:
             CutOracle([(0, 1, 1.0), (1, 2, weight)])
 
 
+    def test_cut_rejects_weights_summing_past_the_float_range(self):
+        CutOracle([(0, 1, 1e308)])
+        with pytest.raises(ConfigError, match="float range"):
+            CutOracle([(0, 1, 1e308), (1, 2, 1e308)])
+
+
 class TestLogDet:
     def test_identity_kernel_is_zero(self):
         kernel = DppKernel(np.eye(2))
-        assert logdet_value(kernel, elems(0, 1)) == pytest.approx(0.0, abs=1e-12)
+        assert LogDetOracle(kernel).value(elems(0, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_kernel_value(self):
         kernel = DppKernel(np.diag([2.0, 3.0]))
-        assert logdet_value(kernel, elems(0, 1)) == pytest.approx(math.log(6.0))
+        assert LogDetOracle(kernel).value(elems(0, 1)) == pytest.approx(math.log(6.0))
 
     def test_empty_set_returns_offset(self):
         kernel = DppKernel(np.diag([2.0, 3.0]), offset=5.0)
-        assert logdet_value(kernel, frozenset()) == 5.0
+        assert LogDetOracle(kernel).value(frozenset()) == 5.0
 
     def test_marginal_gain_is_log_ratio(self):
         oracle = LogDetOracle(DppKernel(np.diag([2.0, 3.0])))
@@ -98,8 +103,15 @@ class TestLogDet:
     def test_singular_submatrix_clamps_with_warning(self):
         kernel = DppKernel(np.ones((2, 2)))
         with pytest.warns(RuntimeWarning):
-            value = logdet_value(kernel, elems(0, 1))
+            value = LogDetOracle(kernel).value(elems(0, 1))
         assert value <= math.log(1e-300) + math.log(1.0) + 1e-6
+
+    def test_clamp_warning_names_the_caller_of_value(self):
+        kernel = DppKernel(np.ones((2, 2)))
+        for oracle in (LogDetOracle(kernel), SequentialDppOracle(kernel)):
+            with pytest.warns(RuntimeWarning) as caught:
+                oracle.value(elems(0, 1))
+            assert [w.filename for w in caught] == [__file__]
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ConfigError):
@@ -113,7 +125,7 @@ class TestLogDet:
         path = tmp_path / "kernel.txt"
         path.write_text("2\n2.0 0.0\n0.0 3.0\n")
         kernel = load_kernel(str(path))
-        assert logdet_value(kernel, elems(0, 1)) == pytest.approx(math.log(6.0))
+        assert LogDetOracle(kernel).value(elems(0, 1)) == pytest.approx(math.log(6.0))
 
     def test_kernel_file_with_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "kernel.txt"
@@ -126,11 +138,11 @@ class TestLogDet:
         factors = rng.normal(size=(5, 3))
         matrix = factors @ factors.T + 0.05 * np.eye(5)
         offset = suggest_logdet_offset(matrix)
-        kernel = DppKernel(matrix, offset=offset)
+        oracle = LogDetOracle(DppKernel(matrix, offset=offset))
         for i in range(5):
-            assert logdet_value(kernel, elems(i)) >= 0.0
+            assert oracle.value(elems(i)) >= 0.0
             for j in range(i + 1, 5):
-                assert logdet_value(kernel, elems(i, j)) >= 0.0
+                assert oracle.value(elems(i, j)) >= 0.0
 
 
 class TestSequentialDpp:
