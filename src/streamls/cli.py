@@ -38,7 +38,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = dict(
         k=cfg.k,
         eps=cfg.eps,
-        alpha=cfg.alpha,
         prune=DoubleGreedyConfig(mode=cfg.mode, seed=cfg.seed),
     )
     session: SegmentedDppSession | StreamingSession

@@ -50,6 +50,10 @@ class IndependenceOracle(ABC):
         """Optional upper bound on the size of a maximal independent set."""
         return None
 
+    def hint_covers(self, e: Element) -> bool:
+        """False when ``rank_hint`` does not bound sets holding ``e``."""
+        return True
+
 
 class UniformMatroid(IndependenceOracle):
     """All subsets of size at most ``limit``."""
@@ -70,15 +74,20 @@ class UniformMatroid(IndependenceOracle):
 
 
 class PredicateOracle(IndependenceOracle):
-    """Opaque independence predicate for systems without structure."""
+    """Opaque independence predicate for systems without structure.
+
+    Its ``rank_hint`` and ``swap_alpha`` are whatever the caller declares.
+    """
 
     def __init__(
         self,
         predicate: Callable[[frozenset[Element]], bool],
         rank_hint: int | None = None,
+        swap_alpha: float | None = None,
     ):
         self._predicate = predicate
         self._rank_hint = rank_hint
+        self.swap_alpha = swap_alpha
 
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
         return bool(self._predicate(frozenset(elements)))
@@ -169,8 +178,13 @@ class Matchoid(IndependenceOracle):
 
     @property
     def rank_hint(self) -> int | None:
+        """The parts' hints summed: a bound on sets inside the part grounds."""
         hints = [oracle.rank_hint for oracle in self._oracles]
         return None if None in hints else sum(hints)
+
+    def hint_covers(self, e: Element) -> bool:
+        """An element in no part is unconstrained, so no hint bounds it."""
+        return bool(self._parts_of(e))
 
 
 class PartitionMatroid(Matchoid):

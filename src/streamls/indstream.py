@@ -17,20 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import IndependenceOracle, KnapsackSpec, exchange_candidates
-from .errors import ConfigError, PreconditionError
+from .errors import PreconditionError
 from .objectives import GAIN_TOL, Element, ValueOracle
-
-
-def resolve_alpha(constraint: IndependenceOracle, alpha: float | None) -> float:
-    """The given alpha, or the constraint's declared ``swap_alpha`` when None."""
-    resolved = constraint.swap_alpha if alpha is None else float(alpha)
-    if resolved is None:
-        raise ConfigError(
-            "alpha must be given explicitly for opaque independence oracles"
-        )
-    if not 0.0 < resolved <= 1.0:
-        raise ConfigError("alpha must lie in (0, 1]")
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -61,10 +49,9 @@ class IndStreamInstance:
         self.rho = rho
         self.knapsacks = knapsacks
 
-        self._solution: dict[int, Element] = {}
-        self._weights: dict[int, float] = {}
+        # Each held element -> its gain when accepted, in acceptance order.
+        self._weights: dict[Element, float] = {}
         self._value = oracle.value(frozenset()) if empty_value is None else empty_value
-        self._frozen = False
         self._overflow: tuple[frozenset[Element], Element] | None = None
 
         self.processed = 0
@@ -75,7 +62,10 @@ class IndStreamInstance:
     # -- read-only views ---------------------------------------------------
 
     def current_solution(self) -> frozenset[Element]:
-        return frozenset(self._solution.values())
+        # Through .keys(): a bare dict takes a pre-sized set build whose
+        # table size, and so iteration order, can differ; a log-det
+        # submatrix follows that order to its last bit.
+        return frozenset(self._weights.keys())
 
     def overflow_record(self) -> tuple[frozenset[Element], Element] | None:
         return self._overflow
@@ -88,12 +78,12 @@ class IndStreamInstance:
     @property
     def frozen(self) -> bool:
         """True once a knapsack overflow froze the instance; it never thaws."""
-        return self._frozen
+        return self._overflow is not None
 
     @property
     def held(self) -> int:
         """Elements currently kept alive by this instance."""
-        return len(self._solution) + (1 if self._overflow else 0)
+        return len(self._weights) + (1 if self._overflow else 0)
 
     # -- streaming updates ---------------------------------------------------
 
@@ -108,10 +98,8 @@ class IndStreamInstance:
         self, e: Element, gain: float, evicted: frozenset[Element]
     ) -> ProcessOutcome:
         for x in evicted:
-            del self._solution[x.id]
-            del self._weights[x.id]
-        self._solution[e.id] = e
-        self._weights[e.id] = gain
+            del self._weights[x]
+        self._weights[e] = gain
         if evicted:
             self._value = self.oracle.value(self.current_solution())
         else:
@@ -132,9 +120,9 @@ class IndStreamInstance:
         """
         rho, knapsacks = self.rho, self.knapsacks
         self.processed += 1
-        if self._frozen:
+        if self._overflow is not None:
             return self._reject(e)
-        if e.id in self._solution:
+        if e in self._weights:
             raise PreconditionError(f"element {e.id} is already in the solution")
 
         if knapsacks is not None and not knapsacks.singleton_fits(e):
@@ -148,12 +136,11 @@ class IndStreamInstance:
             gain = self.oracle.value(s | {e}) - self._value
 
         if rho is not None:
+            # A zero-cost element passes; the fit and swap tests below
+            # reject it on a gain of at most GAIN_TOL, since every held
+            # weight exceeds GAIN_TOL.
             total_cost = knapsacks.total_cost(e) if knapsacks is not None else 0.0
-            if total_cost > 0.0:
-                if gain / total_cost < rho:
-                    return self._reject(e)
-            elif gain <= GAIN_TOL:
-                # Zero-cost elements pass the gate only on positive gain.
+            if total_cost > 0.0 and gain / total_cost < rho:
                 return self._reject(e)
 
         per_part = exchange_candidates(self.constraint, s, e)
@@ -167,16 +154,15 @@ class IndStreamInstance:
         else:
             # The cheapest member of each blocked part makes way for e.
             evicted = frozenset(
-                min(c, key=lambda x: (self._weights[x.id], x.id)) for c in per_part
+                min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
             )
-            if gain < 2.0 * sum(self._weights[x.id] for x in evicted):
+            if gain < 2.0 * sum(self._weights[x] for x in evicted):
                 return self._reject(e)
 
         if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):
             # Theorem-2 fallback pair: the feasible solution just before
             # the overflow, and the overflowing element itself.
             self._overflow = (s, e)
-            self._frozen = True
             self._note_memory()
             return self._reject(e)
 
@@ -191,6 +177,6 @@ class IndStreamInstance:
             "processed": self.processed,
             "accepted": self.accept_events,
             "discarded": self.discarded_total,
-            "solution_size": len(self._solution),
+            "solution_size": len(self._weights),
             "high_water": self.high_water,
         }

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError, DomainError
-from .indstream import IndStreamInstance, resolve_alpha
+from .indstream import IndStreamInstance
 from .objectives import GAIN_TOL, Element, ValueOracle
 from .unconstrained import DoubleGreedyConfig, unconstrained_max
 
@@ -40,6 +40,13 @@ _MAX_RUNS = 10_000
 
 def _ceil(x: float) -> int:
     return math.ceil(x - _CEIL_EPS)
+
+
+def resolve_alpha(constraint: IndependenceOracle) -> float:
+    """The factor the constraint declares for the swap backbone."""
+    if constraint.swap_alpha is None:
+        raise ConfigError("the constraint declares no swap_alpha for the backbone")
+    return constraint.swap_alpha
 
 
 def chain_length(alpha: float, beta: float) -> int:
@@ -102,17 +109,15 @@ class ChainState:
         oracle: ValueOracle,
         constraint: IndependenceOracle,
         *,
-        alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
         empty_value: float | None = None,
     ):
         """``empty_value`` is f(empty) when the caller has it already."""
-        self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
         self.rho = rho
-        self.q = chain_length(self.alpha, prune.beta)
+        self.q = chain_length(resolve_alpha(constraint), prune.beta)
         self.oracle = oracle
         if empty_value is None:
             empty_value = oracle.value(frozenset())
@@ -240,13 +245,15 @@ class GridState:
         *,
         k: int | None = None,
         eps: float = 0.2,
-        alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
     ):
         if knapsacks.d < 1:
             raise ConfigError("the threshold grid needs at least one knapsack")
         if not eps > 0.0:
             raise ConfigError("eps must be positive")
+        # A k read from the rank hint holds only while every element is
+        # one the hint covers; ``process`` checks each.
+        self._check_hint = k is None
         if k is None:
             k = constraint.rank_hint
         if k is None or k < 1:
@@ -266,9 +273,9 @@ class GridState:
         self.knapsacks = knapsacks
         self.k = k
         self.eps = float(eps)
-        self.alpha = resolve_alpha(constraint, alpha)
         self.prune = prune
-        bound = guarantee_bound(self.alpha, prune.beta, knapsacks.d, 0.0)
+        alpha = resolve_alpha(constraint)
+        bound = guarantee_bound(alpha, prune.beta, knapsacks.d, 0.0)
         self._log_2bound = math.log(2.0 * bound)
         # f(empty), computed once and shared by every run.
         self._empty = oracle.value(frozenset())
@@ -296,7 +303,6 @@ class GridState:
         return ChainState(
             self.oracle,
             self.constraint,
-            alpha=self.alpha,
             prune=self.prune,
             rho=rho,
             knapsacks=self.knapsacks,
@@ -337,6 +343,11 @@ class GridState:
         self.max_active_runs = max(self.max_active_runs, len(self.runs))
 
     def process(self, e: Element) -> None:
+        if self._check_hint and not self.constraint.hint_covers(e):
+            raise DomainError(
+                f"element {e.id} is not bounded by the constraint's rank hint,"
+                " so k = auto does not hold; set k explicitly"
+            )
         self.processed += 1
         value = gain_cap = None
         cost = 0.0
@@ -366,11 +377,8 @@ class GridState:
             candidate = chain.finalize()
             if best is None or candidate.value > best.value:
                 best = candidate
-        if self.e_m is not None:
-            singleton = frozenset({self.e_m})
-            value = self.oracle.value(singleton)
-            if best is None or value > best.value:
-                best = Selection(singleton, value)
+        if self.e_m is not None and (best is None or self.m > best.value):
+            best = Selection(frozenset({self.e_m}), self.m)
         if best is None:
             best = Selection(frozenset(), self._empty)
         return best
@@ -410,21 +418,14 @@ class StreamingSession:
         *,
         k: int | None = None,
         eps: float = 0.2,
-        alpha: float | None = None,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
     ):
         if knapsacks is not None and knapsacks.d > 0:
             self._engine: ChainState | GridState = GridState(
-                oracle,
-                constraint,
-                knapsacks,
-                k=k,
-                eps=eps,
-                alpha=alpha,
-                prune=prune,
+                oracle, constraint, knapsacks, k=k, eps=eps, prune=prune
             )
         else:
-            self._engine = ChainState(oracle, constraint, alpha=alpha, prune=prune)
+            self._engine = ChainState(oracle, constraint, prune=prune)
         self.pushed = 0
         self.seconds_total = 0.0
 

@@ -196,9 +196,6 @@ class DppKernel:
         self._index = {eid: i for i, eid in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise ConfigError("kernel ids must be distinct")
-        # Normalizers for the sequential conditional, keyed by
-        # (previous-selection ids, segment ids); writes are idempotent.
-        self._norm_cache: dict[tuple[frozenset[int], frozenset[int]], float] = {}
 
     def set_offset(self, offset: float) -> None:
         """Replace the offset; the matrix stays as it was checked."""
@@ -325,8 +322,7 @@ def seqdpp_conditional_value(
 
     Computes log det(L_{s_t + s_prev}) - log det(I_t + L_{s_prev + segment})
     where I_t is diagonal with zeros on the s_prev positions and ones on
-    the segment positions. The normalizer depends only on (s_prev,
-    segment) and is cached on the kernel.
+    the segment positions.
     """
     if s_prev & segment:
         raise PreconditionError("previous selection overlaps the segment")
@@ -334,15 +330,10 @@ def seqdpp_conditional_value(
         raise PreconditionError("selection must lie inside the segment")
     numerator, _ = _logdet_floored(kernel.submatrix(set(s_t) | set(s_prev)))
 
-    key = (ids_of(s_prev), ids_of(segment))
-    normalizer = kernel._norm_cache.get(key)
-    if normalizer is None:
-        ordered = sorted(set(s_prev) | set(segment), key=lambda e: e.id)
-        sub = kernel.submatrix(ordered)
-        prev_ids = ids_of(s_prev)
-        diag = np.array([0.0 if e.id in prev_ids else 1.0 for e in ordered])
-        normalizer, _ = _logdet_floored(sub + np.diag(diag))
-        kernel._norm_cache[key] = normalizer
+    ordered = sorted(set(s_prev) | set(segment), key=lambda e: e.id)
+    prev_ids = ids_of(s_prev)
+    diag = np.array([0.0 if e.id in prev_ids else 1.0 for e in ordered])
+    normalizer, _ = _logdet_floored(kernel.submatrix(ordered) + np.diag(diag))
     return numerator - normalizer
 
 

@@ -269,7 +269,6 @@ _CONVERTERS = {
     "segment": int,
     "knapsacks": int,
     "capacities": _floats,
-    "alpha": _auto(float),
     "eps": float,
     "k": _auto(int),
     "seed": int,
@@ -294,7 +293,6 @@ class RunConfig:
     constraint: str = "none"
     knapsacks: int = 0
     capacities: tuple[float, ...] | None = None
-    alpha: float | None = None
     mode: str = "deterministic"
     eps: float = 0.2
     k: int | None = None

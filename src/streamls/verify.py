@@ -51,7 +51,6 @@ class Instance:
     oracle: ValueOracle
     constraint: IndependenceOracle
     knapsacks: KnapsackSpec | None
-    alpha: float
     k: int
 
 
@@ -207,7 +206,6 @@ def random_instance(
         oracle=oracle,
         constraint=constraint,
         knapsacks=KnapsackSpec(d) if d else None,
-        alpha=constraint.swap_alpha,
         k=constraint.rank_hint,
     )
 
@@ -255,7 +253,6 @@ def _session(
         instance.knapsacks,
         k=instance.k,
         eps=eps,
-        alpha=instance.alpha,
         prune=prune,
     )
 
@@ -284,7 +281,7 @@ def check_alg1_bound(trials: int = 300, seed: int = 1) -> CheckResult:
         instance = random_instance(rng)
         got = _streamed(instance, prune).finalize().value
         opt = brute_opt(instance.oracle, instance.elements, instance.constraint)
-        bound = guarantee_bound(instance.alpha, prune.beta, 0, 0.0)
+        bound = guarantee_bound(instance.constraint.swap_alpha, prune.beta, 0, 0.0)
         margin = got - bound * opt.best_value
         result.record(
             margin,
@@ -313,7 +310,7 @@ def check_alg2_bound(trials: int = 300, seed: int = 2, eps: float = 0.2) -> Chec
             instance.knapsacks,
         )
         bound = guarantee_bound(
-            instance.alpha, prune.beta, instance.knapsacks.d, eps
+            instance.constraint.swap_alpha, prune.beta, instance.knapsacks.d, eps
         )
         margin = final.value - bound * opt.best_value
         why = "infeasible output" if not feasible else "bound violation"
@@ -416,9 +413,7 @@ def check_conservation(
         i: rng.sample(range(n_items), rng.randint(1, 3)) for i in range(stream_size)
     }
     oracle = CoverageOracle(covers)
-    chain = ChainState(
-        oracle, UniformMatroid(20), alpha=0.25, prune=DoubleGreedyConfig()
-    )
+    chain = ChainState(oracle, UniformMatroid(20), prune=DoubleGreedyConfig())
     assert chain.q == 3
     violations = 0
     checks = 0

@@ -44,7 +44,6 @@ def _session_record(seed: int, d: int, mode: str) -> dict:
         instance.knapsacks,
         k=instance.k,
         eps=0.2,
-        alpha=instance.alpha,
         prune=DoubleGreedyConfig(mode=mode, seed=seed),
     )
     n = len(instance.elements)

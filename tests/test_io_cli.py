@@ -205,13 +205,13 @@ class TestConfig:
         assert cfg.seed == 3
         assert cfg.references == [frozenset({1, 2}), frozenset({3})]
         # auto and absent values read as None; an empty reference list is none.
-        path.write_text("alpha = auto\noffset = auto\nk = auto\nreferences =\n")
+        path.write_text("offset = auto\nk = auto\nreferences =\n")
         cfg = RunConfig.from_file(str(path))
-        assert [cfg.alpha, cfg.offset, cfg.k, cfg.capacities] == [None] * 4
+        assert [cfg.offset, cfg.k, cfg.capacities] == [None] * 3
         assert cfg.references == []
-        path.write_text("alpha = 0.5\noffset = 2.5\n")
+        path.write_text("offset = 2.5\n")
         cfg = RunConfig.from_file(str(path))
-        assert (cfg.alpha, cfg.offset) == (0.5, 2.5)
+        assert cfg.offset == 2.5
 
     def test_readme_run_cfg_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -551,6 +551,28 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         assert "value = 1e+308" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["auto", "107"])
+    def test_run_auto_k_needs_every_element_in_a_part(self, tmp_path, capsys, k):
+        # partition:a=1 has rank hint 1, yet 100 cheap elements in no
+        # block form a feasible set of value 100.
+        rows = ["1000,0.5,a"] + [f"{i},0.5,g{i}" for i in range(6)]
+        rows += [f"{i},0.01,g{i}" for i in range(100, 200)]
+        stream = _write_stream(tmp_path, rows)
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = partition:a=1\n"
+            f"knapsacks = 1\nk = {k}\n",
+        )
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        if k == "auto":
+            assert code == 2
+            assert "element 0 is not bounded by the constraint's rank hint" in captured.err
+            assert "set k explicitly" in captured.err
+        else:
+            assert code == 0
+            assert "value = 100.0" in captured.out
+
     def test_run_decomposable_objective(self, tmp_path):
         rows = [f"{i},0.1,g{i % 3}" for i in range(9)]
         stream = _write_stream(tmp_path, rows)
@@ -609,7 +631,7 @@ class TestCli:
         "setting, rows, fmt, needle",
         [
             ("k = abc", None, "csv", "line 4"),
-            ("alpha = x", None, "csv", "line 4"),
+            ("alpha = 0.25", None, "csv", "unknown config key 'alpha'"),
             ("eps = x", None, "csv", "line 4"),
             ("segment = x", None, "csv", "line 4"),
             ("constraint = uniform:x", None, "csv", "uniform:x"),

@@ -13,16 +13,21 @@ from streamls import (
     ConfigError,
     CoverageOracle,
     CutOracle,
+    DomainError,
     DoubleGreedyConfig,
     DppKernel,
     Element,
     GridState,
     KnapsackSpec,
     LogDetOracle,
+    Matchoid,
     ModularOracle,
+    PartitionMatroid,
+    PredicateOracle,
     StreamingSession,
     UniformMatroid,
     ValueOracle,
+    brute_opt,
     chain_length,
     guarantee_bound,
 )
@@ -91,13 +96,13 @@ class TestGuaranteeBound:
 
 class TestChain:
     def test_instance_count_from_alpha(self):
-        chain = ChainState(ModularOracle({}), UniformMatroid(2), alpha=0.25, prune=RANDOMIZED)
+        chain = ChainState(ModularOracle({}), UniformMatroid(2), prune=RANDOMIZED)
         assert chain.q == 3
         assert len(chain.instances) == 3
 
     def test_eviction_routes_to_next_instance_in_same_call(self):
         oracle = ModularOracle({0: 1.0, 1: 3.0})
-        chain = ChainState(oracle, UniformMatroid(1), alpha=0.25)
+        chain = ChainState(oracle, UniformMatroid(1))
         chain.process(Element(id=0))
         chain.process(Element(id=1))
         assert chain.instances[0].current_solution() == frozenset({Element(id=1)})
@@ -105,7 +110,7 @@ class TestChain:
 
     def test_all_reject_drops_permanently(self):
         oracle = ModularOracle({0: 1.0, 1: 0.0})
-        chain = ChainState(oracle, UniformMatroid(1), alpha=0.25)
+        chain = ChainState(oracle, UniformMatroid(1))
         chain.process(Element(id=0))
         chain.process(Element(id=1))  # zero gain everywhere: dropped
         assert chain.dropped == 1
@@ -116,9 +121,7 @@ class TestChain:
         rng = random.Random(41)
         for _ in range(25):
             instance = random_instance(rng)
-            chain = ChainState(
-                instance.oracle, instance.constraint, alpha=instance.alpha
-            )
+            chain = ChainState(instance.oracle, instance.constraint)
             for e in instance.elements:
                 chain.process(e)
                 solutions = [i.current_solution() for i in chain.instances]
@@ -127,7 +130,7 @@ class TestChain:
 
     def test_finalize_empty_chain(self):
         oracle = ModularOracle({})
-        chain = ChainState(oracle, UniformMatroid(1), alpha=0.25)
+        chain = ChainState(oracle, UniformMatroid(1))
         result = chain.finalize()
         assert result.elements == frozenset()
         assert result.value == 0.0
@@ -135,7 +138,7 @@ class TestChain:
     def test_finalize_does_not_mutate(self):
         rng = random.Random(42)
         instance = random_instance(rng)
-        chain = ChainState(instance.oracle, instance.constraint, alpha=instance.alpha)
+        chain = ChainState(instance.oracle, instance.constraint)
         for e in instance.elements[: len(instance.elements) // 2]:
             chain.process(e)
         before = [i.current_solution() for i in chain.instances]
@@ -156,7 +159,7 @@ class TestChain:
                     edges.append((a, b, rng.uniform(0.5, 2.0)))
         oracle = CutOracle(edges, nodes=ids)
         limit = rng.randint(2, 4)
-        chain = ChainState(oracle, UniformMatroid(limit), alpha=0.25)
+        chain = ChainState(oracle, UniformMatroid(limit))
         elements = [Element(id=i) for i in ids]
         rng.shuffle(elements)
         for e in elements:
@@ -175,7 +178,7 @@ class TestChain:
             oracle = CoverageOracle(
                 {i: rng.sample(range(12), rng.randint(1, 3)) for i in range(n)}
             )
-            chain = ChainState(oracle, UniformMatroid(3), alpha=0.25)
+            chain = ChainState(oracle, UniformMatroid(3))
             elements = [Element(id=i) for i in range(n)]
             rng.shuffle(elements)
             for e in elements:
@@ -188,14 +191,13 @@ class TestChain:
 
 
 class TestGrid:
-    def _grid(self, oracle, d=1, *, k=4, eps=1.0, alpha=0.25, prune=RANDOMIZED):
+    def _grid(self, oracle, d=1, *, k=4, eps=1.0, prune=RANDOMIZED):
         return GridState(
             oracle,
             UniformMatroid(k),
             KnapsackSpec(d),
             k=k,
             eps=eps,
-            alpha=alpha,
             prune=prune,
         )
 
@@ -226,7 +228,6 @@ class TestGrid:
                 instance.knapsacks,
                 k=instance.k,
                 eps=0.2,
-                alpha=instance.alpha,
             )
             for e in instance.elements:
                 grid.process(e)
@@ -264,9 +265,8 @@ class TestGrid:
             instance.constraint,
             KnapsackSpec(0),
             k=instance.k,
-            alpha=instance.alpha,
         )
-        chain = ChainState(instance.oracle, instance.constraint, alpha=instance.alpha)
+        chain = ChainState(instance.oracle, instance.constraint)
         for e in instance.elements:
             session.push(e)
             chain.process(e)
@@ -278,7 +278,6 @@ class TestGrid:
                 instance.constraint,
                 KnapsackSpec(0),
                 k=instance.k,
-                alpha=instance.alpha,
             )
 
     def test_final_set_feasible(self):
@@ -291,7 +290,6 @@ class TestGrid:
                 instance.knapsacks,
                 k=instance.k,
                 eps=0.2,
-                alpha=instance.alpha,
             )
             for e in instance.elements:
                 grid.process(e)
@@ -300,8 +298,12 @@ class TestGrid:
             assert instance.knapsacks.feasible(final.elements)
 
     def test_bad_alpha_or_eps_fails_at_construction(self):
-        with pytest.raises(ConfigError):
-            self._grid(ModularOracle({}), alpha=1.5)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            GridState(
+                ModularOracle({}),
+                PredicateOracle(lambda s: True, rank_hint=4, swap_alpha=1.5),
+                KnapsackSpec(1),
+            )
         with pytest.raises(ConfigError):
             self._grid(ModularOracle({}), eps=math.nan)
         # A window of log(k) / log1p(eps) runs: trillions, or an overflow.
@@ -313,19 +315,29 @@ class TestGrid:
             self._grid(ModularOracle({}), k=1, eps=5e-324)
 
     def test_k_required_with_knapsacks(self):
-        from streamls import PredicateOracle
-
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="k .* is required"):
             GridState(
                 ModularOracle({}),
-                PredicateOracle(lambda s: True),
+                PredicateOracle(lambda s: True, swap_alpha=0.25),
                 KnapsackSpec(1),
-                alpha=0.25,
             )
 
-    def test_cost_count_mismatch_is_domain_error(self):
-        from streamls import DomainError
+    def test_auto_k_refuses_an_element_outside_every_part(self):
+        oracle = ModularOracle({0: 1.0, 1: 1.0})
+        constraint = PartitionMatroid({"a": 1})
+        inside = Element(id=0, costs=(0.5,), groups=frozenset({"a"}))
+        outside = Element(id=1, costs=(0.5,), groups=frozenset({"b"}))
+        grid = GridState(oracle, constraint, KnapsackSpec(1))
+        grid.process(inside)
+        with pytest.raises(DomainError, match="element 1 .*set k explicitly"):
+            grid.process(outside)
+        # An explicit k is the caller's bound; the element is taken as given.
+        grid = GridState(oracle, constraint, KnapsackSpec(1), k=2)
+        grid.process(inside)
+        grid.process(outside)
+        assert grid.finalize().value == 2.0
 
+    def test_cost_count_mismatch_is_domain_error(self):
         grid = self._grid(ModularOracle({0: 1.0}), d=1)
         with pytest.raises(DomainError):
             grid.process(costed(0, 0.1, 0.2))
@@ -340,7 +352,6 @@ class TestSession:
             instance.constraint,
             instance.knapsacks,
             k=instance.k,
-            alpha=instance.alpha,
         )
         mid = None
         for i, e in enumerate(instance.elements):
@@ -355,12 +366,96 @@ class TestSession:
         assert report.seconds_per_element >= 0.0
 
     def test_session_prefers_grid_only_with_knapsacks(self):
-        plain = StreamingSession(ModularOracle({}), UniformMatroid(2), alpha=0.25)
+        plain = StreamingSession(ModularOracle({}), UniformMatroid(2))
         assert isinstance(plain.engine, ChainState)
         grid = StreamingSession(
-            ModularOracle({}), UniformMatroid(2), KnapsackSpec(1), k=2, alpha=0.25
+            ModularOracle({}), UniformMatroid(2), KnapsackSpec(1), k=2
         )
         assert isinstance(grid.engine, GridState)
+
+
+class TestDeclaredAlpha:
+    """The constraint's ``swap_alpha`` is the one source of alpha."""
+
+    def test_engines_refuse_an_undeclared_alpha(self):
+        opaque = PredicateOracle(lambda s: len(s) <= 2, rank_hint=2)
+        with pytest.raises(ConfigError, match="declares no swap_alpha"):
+            ChainState(ModularOracle({}), opaque)
+        with pytest.raises(ConfigError, match="declares no swap_alpha"):
+            GridState(ModularOracle({}), opaque, KnapsackSpec(1))
+        with pytest.raises(ConfigError, match="declares no swap_alpha"):
+            StreamingSession(ModularOracle({}), opaque)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_declared_predicate_selects_as_the_uniform_matroid(self, d):
+        rng = random.Random(f"predicate:{d}")
+        for _ in range(10):
+            instance = random_instance(rng, d=d)
+            limit = rng.randint(1, 4)
+            uniform = UniformMatroid(limit)
+            declared = PredicateOracle(
+                uniform.is_independent, rank_hint=limit, swap_alpha=0.25
+            )
+            sessions = [
+                StreamingSession(instance.oracle, c, instance.knapsacks, k=limit)
+                for c in (uniform, declared)
+            ]
+            for e in instance.elements:
+                for session in sessions:
+                    session.push(e)
+            want, got = (session.close() for session in sessions)
+            assert got.selection == want.selection
+            assert got.stats == want.stats
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_label_matchoid_p3_meets_its_bound(self, d):
+        # Label matchoids with up to three parts per element, p = 3 and
+        # so alpha = 1/12, against brute force. Its own stream of draws:
+        # random_instance is left as it is.
+        rng = random.Random(f"matchoid-p3:{d}")
+        labels = ("m0", "m1", "m2", "m3", "m4")
+        prune, eps = DoubleGreedyConfig(), 0.2
+        bound = guarantee_bound(1.0 / 12.0, prune.beta, d, eps)
+        for _ in range(15):
+            n = rng.randint(6, 10)
+            constraint = Matchoid(
+                [(UniformMatroid(rng.randint(1, 2)), label) for label in labels], p=3
+            )
+            assert constraint.swap_alpha == pytest.approx(1.0 / 12.0)
+            elements = [
+                Element(
+                    id=i,
+                    costs=tuple(rng.uniform(0.05, 1.0) for _ in range(d)),
+                    groups=frozenset(rng.sample(labels, rng.randint(1, 3))),
+                )
+                for i in range(n)
+            ]
+            if rng.random() < 0.5:
+                oracle = CoverageOracle(
+                    {i: rng.sample(range(n), rng.randint(1, 4)) for i in range(n)}
+                )
+            else:
+                oracle = CutOracle(
+                    [
+                        (a, b, rng.uniform(0.5, 1.5))
+                        for a in range(n)
+                        for b in range(a + 1, n)
+                        if rng.random() < 0.45
+                    ],
+                    nodes=range(n),
+                )
+            rng.shuffle(elements)
+            knapsacks = KnapsackSpec(d) if d else None
+            session = StreamingSession(
+                oracle, constraint, knapsacks, eps=eps, prune=prune
+            )
+            for e in elements:
+                session.push(e)
+            final = session.close().selection
+            assert constraint.is_independent(final.elements)
+            assert knapsacks is None or knapsacks.feasible(final.elements)
+            opt = brute_opt(oracle, elements, constraint, knapsacks).best_value
+            assert final.value >= bound * opt - 1e-9 * max(1.0, opt)
 
 
 class ReferenceChain(ChainState):
@@ -395,7 +490,6 @@ class ReferenceGrid(GridState):
         return ReferenceChain(
             self.oracle,
             self.constraint,
-            alpha=self.alpha,
             prune=self.prune,
             rho=rho,
             knapsacks=self.knapsacks,
@@ -475,7 +569,7 @@ class TestFrozenPassThrough:
         frozen_steps = 0
         for trial in range(12):
             instance = random_instance(rng, d=d)
-            options = dict(k=instance.k, eps=0.2, alpha=instance.alpha, prune=prune)
+            options = dict(k=instance.k, eps=0.2, prune=prune)
             session = StreamingSession(
                 instance.oracle, instance.constraint, instance.knapsacks, **options
             )
@@ -506,7 +600,7 @@ class TestFrozenPassThrough:
         constraint = CountingMatroid(5)
         knapsacks = CountingKnapsacks(1)
         chain = ChainState(
-            oracle, constraint, alpha=0.25, rho=0.1, knapsacks=knapsacks
+            oracle, constraint, rho=0.1, knapsacks=knapsacks
         )
         assert chain.q == 3
         # Each element takes 0.6 of the one budget, so every instance
@@ -566,14 +660,14 @@ class TestDensityScreen:
         screened = unscreened = 0
         for _ in range(10):
             instance = random_instance(rng, d=d, kinds=(kind,))
-            # Every fourth element costs nothing, for the gate's zero-cost branch.
+            # Every fourth element costs nothing and so passes the density gate.
             elements = [
                 e if i % 4 else Element(id=e.id, costs=(0.0,) * d, groups=e.groups)
                 for i, e in enumerate(instance.elements)
             ]
             session_oracle = PairCounter(instance.oracle)
             reference_oracle = PairCounter(instance.oracle)
-            options = dict(k=instance.k, eps=0.2, alpha=instance.alpha, prune=prune)
+            options = dict(k=instance.k, eps=0.2, prune=prune)
             session = StreamingSession(
                 session_oracle, instance.constraint, instance.knapsacks, **options
             )
@@ -608,7 +702,7 @@ class TestDensityScreen:
             return PairCounter(LogDetOracle(DppKernel(matrix)))
 
         session_oracle, reference_oracle = side(), side()
-        options = dict(k=8, eps=0.2, alpha=0.25)
+        options = dict(k=8, eps=0.2)
         session = StreamingSession(
             session_oracle, UniformMatroid(8), KnapsackSpec(1), **options
         )
@@ -640,7 +734,7 @@ class TestDensityScreen:
         # + 1e-3 lifts the gain the gate sees by 1.6e-10: far more than a
         # margin taken from f({1}) and f(empty) alone.
         oracle = ModularOracle({0: 1e7, 1: 1e-3})
-        options = dict(k=2, eps=0.2, alpha=0.25)
+        options = dict(k=2, eps=0.2)
         session = StreamingSession(oracle, UniformMatroid(2), KnapsackSpec(1), **options)
         reference = ReferenceGrid(oracle, UniformMatroid(2), KnapsackSpec(1), **options)
         first = costed(0, 0.5)
@@ -659,7 +753,7 @@ class TestDensityScreen:
         oracle = CountingOracle({0: 1.0, 1: 1.0})
         constraint = CountingMatroid(2)
         knapsacks = CountingKnapsacks(1)
-        chain = ChainState(oracle, constraint, alpha=0.25, rho=4.0, knapsacks=knapsacks)
+        chain = ChainState(oracle, constraint, rho=4.0, knapsacks=knapsacks)
         oracle.calls = 0
         # rho * cost = 2 exceeds the bound f({e}) - f(empty) = 1.
         chain.process(costed(0, 0.5), singleton_value=1.0, gain_cap=1.0, cost=0.5)

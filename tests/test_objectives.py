@@ -179,13 +179,6 @@ class TestSequentialDpp:
         with pytest.raises(PreconditionError):
             seqdpp_conditional_value(kernel, elems(1), frozenset(), elems(0))
 
-    def test_normalizer_cached_per_segment(self):
-        kernel = DppKernel(np.eye(3))
-        segment = elems(0, 1)
-        seqdpp_conditional_value(kernel, elems(0), frozenset(), segment)
-        seqdpp_conditional_value(kernel, elems(1), frozenset(), segment)
-        assert len(kernel._norm_cache) == 1
-
     def test_streaming_oracle_matches_conditional_up_to_constant(self):
         rng = np.random.default_rng(11)
         factors = rng.normal(size=(4, 4))
