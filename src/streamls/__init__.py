@@ -47,7 +47,6 @@ from .objectives import (
     SequentialDppOracle,
     ValueOracle,
     WeightedSumOracle,
-    check_submodularity,
     load_kernel,
     reservoir_sample,
     sample_size_bound,
@@ -102,7 +101,6 @@ __all__ = [
     "WeightedSumOracle",
     "brute_opt",
     "chain_length",
-    "check_submodularity",
     "exchange_candidates",
     "guarantee_bound",
     "load_kernel",

@@ -68,6 +68,14 @@ class UniformMatroid(IndependenceOracle):
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
         return len(elements) <= self.limit
 
+    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
+        """The base answer from |s| alone, with no independence test."""
+        if len(s) > self.limit:
+            raise PreconditionError("the current solution is not independent")
+        if len(s) < self.limit:
+            return [frozenset()]
+        return [frozenset(s)] if s else []
+
     @property
     def rank_hint(self) -> int | None:
         return self.limit

@@ -35,6 +35,7 @@ from .objectives import (
     ValueOracle,
     WeightedSumOracle,
     _logdet_floored,
+    _principal,
     reservoir_sample,
     sample_size_bound,
 )
@@ -116,7 +117,7 @@ def exact_logdet_offset(matrix: np.ndarray) -> float:
     worst = 0.0
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        worst = min(worst, _logdet_floored(matrix[np.ix_(idx, idx)])[0])
+        worst = min(worst, _logdet_floored(_principal(matrix, idx))[0])
     return max(0.0, -worst) + 1e-9
 
 

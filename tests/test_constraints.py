@@ -401,3 +401,36 @@ class TestMatchoidExchange:
             assert got == (blocked or [frozenset()])
             if len(blocked) <= 1:
                 assert got == want
+
+
+class CountingUniform(UniformMatroid):
+    tests = 0
+
+    def is_independent(self, elements):
+        self.tests += 1
+        return super().is_independent(elements)
+
+
+class TestUniformExchange:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.frozensets(st.integers(0, 9), max_size=8),
+        st.integers(0, 9),
+    )
+    def test_matches_generic_exchange_without_a_test(self, limit, ids, eid):
+        assume(eid not in ids)
+        s, e = frozenset(Element(id=i) for i in ids), Element(id=eid)
+        uniform = CountingUniform(limit)
+        generic = PredicateOracle(
+            UniformMatroid(limit).is_independent, rank_hint=limit, swap_alpha=0.25
+        )
+        try:
+            want = generic.exchange(s, e)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as caught:
+                uniform.exchange(s, e)
+            assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+        else:
+            assert uniform.exchange(s, e) == want
+        assert uniform.tests == 0

@@ -1,11 +1,14 @@
 """Value-oracle semantics: coverage, cut, log-det, sequential DPP,
-decomposable estimates, reservoir sampling and the submodularity checker."""
+decomposable estimates, reservoir sampling, the bit-identity of the
+log-det path and a submodularity spot check."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamls import (
     ConfigError,
@@ -20,14 +23,13 @@ from streamls import (
     PreconditionError,
     SequentialDppOracle,
     WeightedSumOracle,
-    check_submodularity,
     load_kernel,
     reservoir_sample,
     sample_size_bound,
     seqdpp_conditional_value,
     suggest_logdet_offset,
 )
-from streamls.objectives import ValueOracle
+from streamls.objectives import DET_FLOOR, ValueOracle, _logdet_floored, _principal
 
 
 def elems(*ids):
@@ -71,6 +73,97 @@ class TestCoverageAndCut:
         CutOracle([(0, 1, 1e308)])
         with pytest.raises(ConfigError, match="float range"):
             CutOracle([(0, 1, 1e308), (1, 2, 1e308)])
+
+
+def _reference_logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
+    """The log-det path as it read before ``_principal`` and the lean fast path.
+
+    Kept verbatim: ``test_principal_and_logdet_are_bit_identical`` holds
+    the current path to its last bit.
+    """
+    n = matrix.shape[0]
+    if n == 0:
+        return 0.0, False  # det of the empty matrix is 1
+    try:
+        chol = np.linalg.cholesky(matrix)
+        diag = np.diag(chol)
+        if np.all(diag * diag >= DET_FLOOR):
+            return float(2.0 * np.sum(np.log(diag))), False
+    except np.linalg.LinAlgError:
+        pass
+    m = np.array(matrix, dtype=float, copy=True)
+    total = 0.0
+    clamped = False
+    for j in range(n):
+        pivot = m[j, j]
+        if pivot < DET_FLOOR:
+            pivot = DET_FLOOR
+            clamped = True
+        total += math.log(pivot)
+        if j + 1 < n:
+            m[j + 1 :, j + 1 :] -= np.outer(m[j + 1 :, j], m[j, j + 1 :]) / pivot
+    return total, clamped
+
+
+@st.composite
+def psd_cases(draw):
+    """A PSD matrix (full rank, rank deficient or with duplicated rows) and
+    an index list in any order, possibly empty or repeating."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("full", "deficient", "integer", "duplicated")))
+    if kind == "full":
+        factors = rng.normal(size=(n, n))
+        matrix = factors @ factors.T + draw(st.sampled_from((1e-6, 0.1, 2.0))) * np.eye(n)
+    elif kind == "deficient":
+        factors = rng.normal(size=(n, draw(st.integers(1, n))))
+        matrix = factors @ factors.T
+    elif kind == "integer":
+        # Exact zero pivots: the elimination fallback clamps them.
+        factors = rng.integers(-2, 3, size=(n, draw(st.integers(0, n)))).astype(float)
+        matrix = factors @ factors.T
+    else:
+        base = rng.normal(size=(n, n))
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        matrix = (base @ base.T + 0.5 * np.eye(n))[np.ix_(rows, rows)]
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    return matrix, idx
+
+
+class TestLogDetBitIdentity:
+    def test_principal_and_logdet_are_bit_identical(self):
+        branches = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(psd_cases())
+        def check(case):
+            matrix, idx = case
+            want = matrix[np.ix_(idx, idx)]
+            got = _principal(matrix, idx)
+            assert got.flags.c_contiguous
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+            expected = _reference_logdet_floored(want)
+            result = _logdet_floored(got)
+            assert repr(result) == repr(expected)
+            # The clamped fallback can reach nan (inf - inf past a floored
+            # pivot); there == cannot hold, so the bits are compared too.
+            assert result == expected or math.isnan(expected[0])
+            assert np.float64(result[0]).tobytes() == np.float64(expected[0]).tobytes()
+            branches.add("clamped" if expected[1] else _fast_path_taken(want))
+
+        check()
+        assert {"cholesky", "clamped"} <= branches
+
+
+def _fast_path_taken(matrix: np.ndarray) -> str:
+    if matrix.shape[0] == 0:
+        return "empty"
+    try:
+        diag = np.diag(np.linalg.cholesky(matrix))
+    except np.linalg.LinAlgError:
+        return "elimination"
+    return "cholesky" if np.all(diag * diag >= DET_FLOOR) else "elimination"
 
 
 class TestLogDet:
@@ -308,6 +401,36 @@ class TestSampleSizeBound:
             sample_size_bound(2, 1.5, 0.1, 10)
         with pytest.raises(ConfigError):
             sample_size_bound(2, 0.5, 0.1, 1)
+
+
+def check_submodularity(
+    oracle: ValueOracle,
+    ground,
+    trials: int = 1000,
+    rng: random.Random | None = None,
+    tol: float = 1e-9,
+):
+    """Spot-check diminishing returns on random triples S <= T, e not in T.
+
+    Returns (True, None) if no violation exceeds ``tol``; otherwise
+    (False, (S, T, e)) with the first witnessing triple.
+    """
+    pool = sorted(set(ground), key=lambda e: e.id)
+    if not pool:
+        raise PreconditionError("ground set must be non-empty")
+    rng = rng or random.Random(0)
+    for _ in range(trials):
+        t = {e for e in pool if rng.random() < 0.5}
+        outside = [e for e in pool if e not in t]
+        if not outside:
+            continue
+        e = rng.choice(outside)
+        s = {x for x in t if rng.random() < 0.5}
+        gain_small = oracle.value(s | {e}) - oracle.value(s)
+        gain_large = oracle.value(t | {e}) - oracle.value(t)
+        if gain_small < gain_large - tol:
+            return False, (frozenset(s), frozenset(t), e)
+    return True, None
 
 
 class _Supermodular(ValueOracle):
