@@ -143,8 +143,9 @@ class TestLogDetBitIdentity:
             assert got.flags.c_contiguous
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
-            expected = _reference_logdet_floored(want)
-            result = _logdet_floored(got)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = _reference_logdet_floored(want)
+                result = _logdet_floored(got)
             assert repr(result) == repr(expected)
             # The clamped fallback can reach nan (inf - inf past a floored
             # pivot); there == cannot hold, so the bits are compared too.
