@@ -19,6 +19,7 @@ from .streamio import (
     SegmentedDppSession,
     build_constraint,
     build_objective,
+    format_value,
     load_stream,
     summary_metrics,
     write_report,
@@ -72,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.report:
         write_report(cfg.report, fields)
     for key, value in fields.items():
-        print(f"{key} = {value}")
+        print(f"{key} = {format_value(value)}")
     return 0
 
 

@@ -31,7 +31,9 @@ class IndStreamInstance:
     """One streaming solution with swap-rule acceptance.
 
     Its density threshold ``rho`` and ``knapsacks``, when given, are fixed
-    for its life: they make it the density-gated variant.
+    for its life: they make it the density-gated variant. It evaluates
+    f(empty) itself when built, and each step's gain in ``process``; a
+    frozen instance rejects there.
     """
 
     def __init__(
@@ -40,10 +42,7 @@ class IndStreamInstance:
         constraint: IndependenceOracle,
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
-        *,
-        empty_value: float | None = None,
     ):
-        """``empty_value`` is f(empty) when the caller has it already."""
         self.oracle = oracle
         self.constraint = constraint
         self.rho = rho
@@ -51,7 +50,7 @@ class IndStreamInstance:
 
         # Each held element -> its gain when accepted, in acceptance order.
         self._weights: dict[Element, float] = {}
-        self._value = oracle.value(frozenset()) if empty_value is None else empty_value
+        self._value = oracle.value(frozenset())
         self._overflow: tuple[frozenset[Element], Element] | None = None
 
         self.processed = 0
@@ -109,14 +108,11 @@ class IndStreamInstance:
         self._note_memory()
         return ProcessOutcome(True, evicted)
 
-    def process(
-        self, e: Element, *, singleton_value: float | None = None
-    ) -> ProcessOutcome:
+    def process(self, e: Element) -> ProcessOutcome:
         """Swap-rule update with ``e``, gated as the instance was built.
 
-        ``singleton_value`` is f({e}) when the caller has it already; an
-        empty instance uses it instead of evaluating f on the same set
-        again.
+        A frozen instance rejects ``e`` at once; otherwise e's gain is
+        f(S + e) - f(S), from one value call on S + e.
         """
         rho, knapsacks = self.rho, self.knapsacks
         self.processed += 1
@@ -130,10 +126,7 @@ class IndStreamInstance:
             return self._reject(e)
 
         s = self.current_solution()
-        if singleton_value is not None and not s:
-            gain = singleton_value - self._value
-        else:
-            gain = self.oracle.value(s | {e}) - self._value
+        gain = self.oracle.value(s | {e}) - self._value
 
         if rho is not None:
             # A zero-cost element passes; the fit and swap tests below

@@ -93,15 +93,16 @@ class Selection:
 class ChainState:
     """q chained backbone instances with discarded-element routing.
 
-    A frozen instance is a pass-through: the chain counts the batch as
-    processed and discarded by it and hands the batch on unchanged,
-    without calling it, so a fully frozen chain only bumps counters.
-    ``held`` is the stored sum of the instances' ``held``. It is recounted
-    only after a step that ran a live instance, because commit and freeze
-    are the only places an instance's ``held`` changes.
-
-    In a threshold grid the chain also skips, the same way, an element
-    whose density gate must reject it at every instance (see ``process``).
+    Every instance a batch reaches takes it through its own ``process``;
+    a frozen one rejects each element there, so the batch goes on
+    unchanged. The chain skips its instances only when every one is
+    frozen, or, in a threshold grid, when the density gate must reject
+    the element at every instance (see ``process``): then it counts the
+    element as processed and discarded by each and dropped, with no
+    instance or oracle call. ``held`` is the stored sum of the
+    instances' ``held``. It is recounted only after a step that ran the
+    instances, because commit and freeze are the only places an
+    instance's ``held`` changes.
     """
 
     def __init__(
@@ -112,18 +113,13 @@ class ChainState:
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
         rho: float | None = None,
         knapsacks: KnapsackSpec | None = None,
-        empty_value: float | None = None,
     ):
-        """``empty_value`` is f(empty) when the caller has it already."""
         self.prune = prune
         self.rho = rho
         self.q = chain_length(resolve_alpha(constraint), prune.beta)
         self.oracle = oracle
-        if empty_value is None:
-            empty_value = oracle.value(frozenset())
         self.instances = tuple(
-            IndStreamInstance(oracle, constraint, rho, knapsacks, empty_value=empty_value)
-            for _ in range(self.q)
+            IndStreamInstance(oracle, constraint, rho, knapsacks) for _ in range(self.q)
         )
         self.processed = 0
         self.dropped = 0
@@ -148,24 +144,19 @@ class ChainState:
         self,
         e: Element,
         *,
-        singleton_value: float | None = None,
         gain_cap: float | None = None,
         cost: float = 0.0,
     ) -> None:
         """Route one stream element through the whole chain.
 
-        ``singleton_value`` is f({e}), for the empty instances. Given
-        ``gain_cap``, an upper bound on e's gain over any set, and e's
-        total knapsack ``cost``, the element is skipped when the density
-        gate must reject it everywhere: rho * cost above the cap. The
-        screen is off once the oracle has clamped, since the bound rests
-        on submodularity.
+        Given ``gain_cap``, an upper bound on e's gain over any set, and
+        e's total knapsack ``cost``, the element is skipped when the
+        density gate must reject it everywhere: rho * cost above the cap.
+        The screen is off once the oracle has clamped, since the bound
+        rests on submodularity.
         """
         self.processed += 1
-        if self._all_frozen:
-            self._pass_through()
-            return
-        if (
+        if self._all_frozen or (
             gain_cap is not None
             and self.rho * cost > gain_cap + self._slack
             and not self.oracle.clamped
@@ -174,16 +165,9 @@ class ChainState:
             return
         batch: list[Element] = [e]
         for inst in self.instances:
-            if inst.frozen:
-                inst.processed += len(batch)
-                inst.discarded_total += len(batch)
-                continue
             discarded: list[Element] = []
             for x in sorted(batch, key=lambda el: el.id):
-                outcome = inst.process(
-                    x, singleton_value=singleton_value if x is e else None
-                )
-                discarded.extend(outcome.discarded)
+                discarded.extend(inst.process(x).discarded)
             batch = discarded
             if not batch:
                 break
@@ -277,7 +261,7 @@ class GridState:
         alpha = resolve_alpha(constraint)
         bound = guarantee_bound(alpha, prune.beta, knapsacks.d, 0.0)
         self._log_2bound = math.log(2.0 * bound)
-        # f(empty), computed once and shared by every run.
+        # f(empty), for the density screen's bound and the empty fallback.
         self._empty = oracle.value(frozenset())
 
         self.m = 0.0
@@ -306,7 +290,6 @@ class GridState:
             prune=self.prune,
             rho=rho,
             knapsacks=self.knapsacks,
-            empty_value=self._empty,
         )
 
     def _threshold(self, j: int) -> float:
@@ -349,10 +332,10 @@ class GridState:
                 " so k = auto does not hold; set k explicitly"
             )
         self.processed += 1
-        value = gain_cap = None
+        gain_cap = None
         cost = 0.0
         if self.knapsacks.singleton_fits(e):
-            # f({e}) is computed once here and handed to every run.
+            # f({e}) sets m, the window and the density screen's bound.
             value = self.oracle.value(frozenset({e}))
             if value > self.m and self.constraint.is_independent(frozenset({e})):
                 self.m = value
@@ -366,7 +349,7 @@ class GridState:
             gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
         held = 0
         for chain in self.runs.values():
-            chain.process(e, singleton_value=value, gain_cap=gain_cap, cost=cost)
+            chain.process(e, gain_cap=gain_cap, cost=cost)
             held += chain.held
         self.high_water = max(self.high_water, held)
 

@@ -22,7 +22,9 @@ RANDOMIZED = "randomized"
 @dataclass(frozen=True)
 class DoubleGreedyConfig:
     mode: str = DETERMINISTIC
-    seed: int | None = None
+    # The randomized rule reseeds from it on every call, so repeated
+    # snapshots of an unchanged stream prune alike.
+    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (DETERMINISTIC, RANDOMIZED):

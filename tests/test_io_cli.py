@@ -420,6 +420,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert "selected" in captured.out
 
+    @pytest.mark.parametrize(
+        "rows", [["0,0.2,u;v", "1,0.3,v;w", "2,0.4,x"], []], ids=["selected", "empty"]
+    )
+    def test_run_prints_the_report(self, tmp_path, capsys, rows):
+        stream = _write_stream(tmp_path, rows)
+        report = tmp_path / "out.txt"
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = uniform:2\n"
+            f"knapsacks = 1\nk = 2\nreport = {report}\n",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        # The report format, which parse_report reads back.
+        assert out == report.read_text()
+        assert ("selected = []\n" in out) == (not rows)
+
     def test_run_empty_stream(self, tmp_path):
         stream = _write_stream(tmp_path, [], header="id")
         report = tmp_path / "out.txt"

@@ -482,8 +482,7 @@ class ReferenceGrid(GridState):
     """Moves the window and sums every run's ``held`` on every push.
 
     Its chains are ``ReferenceChain``s, so it never screens an element by
-    density and shares no f({e}) or f(empty): every instance evaluates
-    every element it is offered.
+    density: every live instance evaluates every element it is offered.
     """
 
     def _new_chain(self, rho):
@@ -623,6 +622,46 @@ class TestFrozenPassThrough:
         assert [inst.processed for inst in chain.instances] == [1004, 1003, 1002]
         assert [inst.discarded_total for inst in chain.instances] == [1003, 1002, 1001]
 
+    def test_frozen_instance_in_a_live_chain_steps_itself(self):
+        rng = random.Random(5)
+        weights = {i: rng.uniform(0.5, 3.0) for i in range(40)}
+        chains = [
+            cls(
+                ModularOracle(weights), UniformMatroid(3), rho=0.1, knapsacks=KnapsackSpec(1)
+            )
+            for cls in (ChainState, ReferenceChain)
+        ]
+        assert [chain.q for chain in chains] == [3, 3]
+        # The first instance takes 0 and freezes on 1, which the second
+        # instance takes; at 0.1 apiece the rest never overflow it.
+        elements = [costed(0, 0.6), costed(1, 0.6)]
+        elements += [costed(i, 0.1) for i in range(2, 40)]
+        first = chains[0].instances[0]
+        steps = []
+        step = first.process
+        first.process = lambda x: steps.append(x.id) or step(x)
+        for e in elements:
+            for chain in chains:
+                chain.process(e)
+            chain, reference = chains
+            if e.id >= 1:
+                assert chain.instances[0].frozen and not chain.instances[1].frozen
+            for inst, ref in zip(chain.instances, reference.instances):
+                assert (inst.stats(), inst.held) == (ref.stats(), ref.held)
+                assert inst.current_solution() == ref.current_solution()
+                assert inst.overflow_record() == ref.overflow_record()
+            assert chain.stats() == reference.stats()
+            assert chain.held == reference.held
+            assert chain.finalize() == reference.finalize()
+            assert_conserved(chain)
+        # The frozen instance stepped through its own process on every
+        # element and kept only its pre-overflow solution.
+        assert steps == [e.id for e in elements]
+        assert first.processed == len(elements)
+        assert first.discarded_total == len(elements) - 1
+        assert chain.instances[1].accept_events > 1
+        assert chain.instances[2].current_solution()
+
 
 class PairCounter(ValueOracle):
     """Delegates to ``inner`` and counts the evaluations of sets of two or
@@ -756,15 +795,15 @@ class TestDensityScreen:
         chain = ChainState(oracle, constraint, rho=4.0, knapsacks=knapsacks)
         oracle.calls = 0
         # rho * cost = 2 exceeds the bound f({e}) - f(empty) = 1.
-        chain.process(costed(0, 0.5), singleton_value=1.0, gain_cap=1.0, cost=0.5)
+        chain.process(costed(0, 0.5), gain_cap=1.0, cost=0.5)
         assert (oracle.calls, constraint.calls, knapsacks.calls) == (0, 0, 0)
         assert (chain.processed, chain.dropped) == (1, 1)
         assert [inst.processed for inst in chain.instances] == [1, 1, 1]
         assert [inst.discarded_total for inst in chain.instances] == [1, 1, 1]
         assert_conserved(chain)
         # Under the bound the element is offered, and the empty first
-        # instance takes it on the shared f({e}) without a value call.
+        # instance takes it on one value call, its own f({e}).
         taken = costed(1, 0.2)
-        chain.process(taken, singleton_value=1.0, gain_cap=1.0, cost=0.2)
-        assert oracle.calls == 0
+        chain.process(taken, gain_cap=1.0, cost=0.2)
+        assert oracle.calls == 1
         assert chain.instances[0].current_solution() == frozenset({taken})

@@ -12,6 +12,7 @@ from streamls import (
     DoubleGreedyConfig,
     Element,
     ModularOracle,
+    StreamingSession,
     brute_opt,
     unconstrained_max,
 )
@@ -96,6 +97,27 @@ class TestDoubleGreedy:
         first = unconstrained_max(instance.oracle, instance.elements, cfg)
         second = unconstrained_max(instance.oracle, instance.elements, cfg)
         assert first == second
+
+    def test_default_seed_is_zero(self):
+        assert DoubleGreedyConfig(mode="randomized") == DoubleGreedyConfig(
+            mode="randomized", seed=0
+        )
+
+    def test_snapshot_and_close_agree_under_the_default_seed(self):
+        rng = random.Random(26)
+        for d in (0, 1):
+            for _ in range(20):
+                instance = random_instance(rng, d=d, kinds=("cut", "mix"))
+                session = StreamingSession(
+                    instance.oracle,
+                    instance.constraint,
+                    instance.knapsacks,
+                    k=instance.k,
+                    prune=DoubleGreedyConfig(mode="randomized"),
+                )
+                for e in instance.elements:
+                    session.push(e)
+                assert session.snapshot() == session.close().selection
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
