@@ -38,6 +38,10 @@ _SCREEN_REL = 1e-9
 _MAX_RUNS = 10_000
 
 
+# A solution's pruned set and that set's value, keyed by the solution.
+Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
+
+
 def _ceil(x: float) -> int:
     return math.ceil(x - _CEIL_EPS)
 
@@ -124,6 +128,7 @@ class ChainState:
         self.processed = 0
         self.dropped = 0
         self.high_water = 0
+        self._memo: Memo = {}
         self._recount()
 
     def _recount(self) -> None:
@@ -174,25 +179,36 @@ class ChainState:
         self.dropped += len(batch)
         self._recount()  # a live instance ran
 
-    def finalize(self) -> Selection:
+    def finalize(self, memo: Memo | None = None, used: Memo | None = None) -> Selection:
         """Best of all instance solutions and their pruned variants.
 
-        Pure snapshot: the stream may continue afterwards. Ties keep the
-        earliest candidate (lowest instance, constrained before pruned).
+        The stream may continue afterwards. Each solution's pruned set and
+        its value come from ``memo`` when the last finalize pruned an equal
+        solution: double greedy reads only the solution's content, so the
+        entry is what a fresh call would return, bit for bit. The entries
+        this call uses go into ``used``, which replaces the memo, so a
+        snapshot updates it and must not race another. A standalone chain
+        keeps its own memo; a grid passes the one its runs share. Ties keep
+        the earliest candidate (lowest instance, constrained before pruned).
         """
+        if used is None:
+            memo, used = self._memo, {}
+            self._memo = used
         best: Selection | None = None
         for inst in self.instances:
-            candidates: list[frozenset[Element]] = []
             solution = inst.current_solution()
-            candidates.append(solution)
-            candidates.append(unconstrained_max(self.oracle, solution, self.prune))
+            pruned = used.get(solution) or memo.get(solution)
+            if pruned is None:
+                cut = unconstrained_max(self.oracle, solution, self.prune)
+                pruned = (cut, self.oracle.value(cut))
+            used[solution] = pruned
+            candidates = [(solution, self.oracle.value(solution)), pruned]
             record = inst.overflow_record()
             if record is not None:
                 before, last = record
-                candidates.append(before)
-                candidates.append(frozenset({last}))
-            for cand in candidates:
-                value = self.oracle.value(cand)
+                for cand in (before, frozenset({last})):
+                    candidates.append((cand, self.oracle.value(cand)))
+            for cand, value in candidates:
                 if best is None or value > best.value:
                     best = Selection(frozenset(cand), value)
         assert best is not None
@@ -274,6 +290,8 @@ class GridState:
         self.high_water = 0
         self.max_active_runs = 0
         self._retired_chain_high_water = 0
+        # Shared by every run's finalize; see ChainState.finalize.
+        self._memo: Memo = {}
 
     @property
     def max_chain_high_water(self) -> int:
@@ -356,14 +374,16 @@ class GridState:
     def finalize(self) -> Selection:
         """Best run result versus the best feasible singleton."""
         best: Selection | None = None
+        used: Memo = {}
         for chain in self.runs.values():
-            candidate = chain.finalize()
+            candidate = chain.finalize(self._memo, used)
             if best is None or candidate.value > best.value:
                 best = candidate
         if self.e_m is not None and (best is None or self.m > best.value):
             best = Selection(frozenset({self.e_m}), self.m)
         if best is None:
             best = Selection(frozenset(), self._empty)
+        self._memo = used
         return best
 
     def stats(self) -> dict:

@@ -269,7 +269,8 @@ def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     clamped = False
     for j in range(n):
         pivot = m[j, j]
-        if pivot < DET_FLOOR:
+        # A nan pivot (inf - inf past a floored one) is clamped as well.
+        if not pivot >= DET_FLOOR:
             pivot = DET_FLOOR
             clamped = True
         total += math.log(pivot)
