@@ -24,6 +24,7 @@ from streamls import (
     ModularOracle,
     PartitionMatroid,
     PredicateOracle,
+    Selection,
     StreamingSession,
     UniformMatroid,
     ValueOracle,
@@ -31,6 +32,7 @@ from streamls import (
     chain_length,
     guarantee_bound,
 )
+import streamls.localsearch as localsearch
 from streamls.unconstrained import unconstrained_max
 from streamls.verify import random_instance
 
@@ -461,7 +463,8 @@ class TestDeclaredAlpha:
 class ReferenceChain(ChainState):
     """Plain routing, the reference for the pass-through chain: every
     element goes through every instance, frozen ones included, and
-    ``held`` is recounted on every push."""
+    ``held`` is recounted on every push. Its ``finalize`` is the uncached
+    one: it prunes and evaluates every candidate on every call."""
 
     def process(self, e):
         self.processed += 1
@@ -477,12 +480,32 @@ class ReferenceChain(ChainState):
         self.held = sum(inst.held for inst in self.instances)
         self.high_water = max(self.high_water, self.held)
 
+    def finalize(self):
+        best = None
+        for inst in self.instances:
+            candidates = []
+            solution = inst.current_solution()
+            candidates.append(solution)
+            candidates.append(unconstrained_max(self.oracle, solution, self.prune))
+            record = inst.overflow_record()
+            if record is not None:
+                before, last = record
+                candidates.append(before)
+                candidates.append(frozenset({last}))
+            for cand in candidates:
+                value = self.oracle.value(cand)
+                if best is None or value > best.value:
+                    best = Selection(frozenset(cand), value)
+        assert best is not None
+        return best
+
 
 class ReferenceGrid(GridState):
     """Moves the window and sums every run's ``held`` on every push.
 
     Its chains are ``ReferenceChain``s, so it never screens an element by
     density: every live instance evaluates every element it is offered.
+    Its ``finalize`` calls each chain's uncached one.
     """
 
     def _new_chain(self, rho):
@@ -510,6 +533,18 @@ class ReferenceGrid(GridState):
         self.high_water = max(
             self.high_water, sum(c.held for c in self.runs.values())
         )
+
+    def finalize(self):
+        best = None
+        for chain in self.runs.values():
+            candidate = chain.finalize()
+            if best is None or candidate.value > best.value:
+                best = candidate
+        if self.e_m is not None and (best is None or self.m > best.value):
+            best = Selection(frozenset({self.e_m}), self.m)
+        if best is None:
+            best = Selection(frozenset(), self._empty)
+        return best
 
 
 def assert_conserved(chain):
@@ -807,3 +842,76 @@ class TestDensityScreen:
         chain.process(taken, gain_cap=1.0, cost=0.2)
         assert oracle.calls == 1
         assert chain.instances[0].current_solution() == frozenset({taken})
+
+
+def live_solutions(engine):
+    chains = engine.runs.values() if isinstance(engine, GridState) else [engine]
+    return {inst.current_solution() for chain in chains for inst in chain.instances}
+
+
+class PruneSpy:
+    """Counts the double-greedy calls that ``localsearch`` makes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(localsearch, "unconstrained_max", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return unconstrained_max(*args)
+
+
+class TestPruningMemo:
+    @pytest.mark.parametrize("kind", ["coverage", "logdet"])
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    @pytest.mark.parametrize(
+        "prune", [DoubleGreedyConfig(), RANDOMIZED], ids=["deterministic", "randomized"]
+    )
+    def test_snapshots_match_the_uncached_reference(self, kind, d, prune, monkeypatch):
+        rng = random.Random(f"memo:{kind}:{d}")
+        spy = PruneSpy(monkeypatch)
+        pruned_solutions = 0
+        for _ in range(8):
+            instance = random_instance(rng, d=d, kinds=(kind,))
+            if d:
+                options = dict(k=instance.k, eps=0.2, prune=prune)
+                args = (instance.oracle, instance.constraint, instance.knapsacks)
+                session = StreamingSession(*args, **options)
+                reference = ReferenceGrid(*args, **options)
+            else:
+                args = (instance.oracle, instance.constraint)
+                session = StreamingSession(*args, prune=prune)
+                reference = ReferenceChain(*args, prune=prune)
+            engine = session.engine
+            for i, e in enumerate(instance.elements):
+                session.push(e)
+                reference.process(e)
+                if i % 3 == 2:
+                    got, want = session.snapshot(), reference.finalize()
+                    assert repr(got.ids) == repr(want.ids)
+                    assert repr(got.value) == repr(want.value)
+                    assert set(engine._memo) <= live_solutions(engine)
+                    for solution, (pruned, value) in engine._memo.items():
+                        want = unconstrained_max(instance.oracle, solution, prune)
+                        assert pruned == want
+                        assert repr(value) == repr(instance.oracle.value(want))
+                    pruned_solutions += len(live_solutions(engine))
+            got, want = session.close().selection, reference.finalize()
+            assert repr(got.ids) == repr(want.ids)
+            assert repr(got.value) == repr(want.value)
+        assert 0 < spy.calls < pruned_solutions
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_repeated_snapshot_prunes_nothing(self, d, monkeypatch):
+        instance = random_instance(random.Random(f"repeat:{d}"), d=d)
+        session = StreamingSession(
+            instance.oracle, instance.constraint, instance.knapsacks, k=instance.k
+        )
+        for e in instance.elements:
+            session.push(e)
+        spy = PruneSpy(monkeypatch)
+        first = session.snapshot()
+        assert spy.calls > 0
+        spy.calls = 0
+        assert session.snapshot() == first
+        assert spy.calls == 0

@@ -146,15 +146,49 @@ class TestLogDetBitIdentity:
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = _reference_logdet_floored(want)
                 result = _logdet_floored(got)
-            assert repr(result) == repr(expected)
-            # The clamped fallback can reach nan (inf - inf past a floored
-            # pivot); there == cannot hold, so the bits are compared too.
-            assert result == expected or math.isnan(expected[0])
-            assert np.float64(result[0]).tobytes() == np.float64(expected[0]).tobytes()
+            if math.isnan(expected[0]):
+                # The old fallback let a nan pivot (inf - inf past a floored
+                # one) through; the current one clamps it.
+                assert math.isfinite(result[0]) and result[1]
+            else:
+                assert repr(result) == repr(expected)
+                assert result == expected
+                bits = np.float64(result[0]).tobytes()
+                assert bits == np.float64(expected[0]).tobytes()
             branches.add("clamped" if expected[1] else _fast_path_taken(want))
 
         check()
         assert {"cholesky", "clamped"} <= branches
+
+
+class TestLogDetNanPivot:
+    # Rows and columns 2, 1, 0, 0, 0, 2 of a PSD 4x4 kernel: its smallest
+    # eigenvalue, -9.0e-9, lies inside DppKernel's tolerance. Past the
+    # floored pivots, elimination meets inf - inf, a nan pivot.
+    BASE = np.array(
+        [
+            [0.01580809, -0.01660957, 0.08052048, 0.01318911],
+            [-0.01660957, 0.01745169, -0.08460295, -0.01385782],
+            [0.08052048, -0.08460295, 0.41014117, 0.06718041],
+            [0.01318911, -0.01385782, 0.06718041, 0.01100403],
+        ]
+    )
+    MATRIX = BASE[np.ix_([2, 1, 0, 0, 0, 2], [2, 1, 0, 0, 0, 2])]
+
+    def test_nan_pivot_is_clamped(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(_reference_logdet_floored(self.MATRIX)[0])
+            value, clamped = _logdet_floored(self.MATRIX)
+        assert clamped
+        assert value == pytest.approx(-3454.7688933525424, rel=1e-9)
+
+    def test_oracle_value_is_finite(self):
+        oracle = LogDetOracle(DppKernel(self.MATRIX))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.warns(RuntimeWarning):
+                value = oracle.value(elems(*range(6)))
+        assert math.isfinite(value)
+        assert oracle.clamped
 
 
 def _fast_path_taken(matrix: np.ndarray) -> str:
