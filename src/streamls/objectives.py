@@ -311,15 +311,39 @@ def suggest_logdet_offset(matrix: np.ndarray) -> float:
     """Heuristic non-negativity offset: singleton and pair log-dets only.
 
     Global minimization over all subsets is intractable, so the offset
-    is max(0, -min sampled log-det) + 1.
+    is max(0, -min sampled log-det) + 1, with min taken over
+    ``_logdet_floored`` of each singleton, then each pair (i, j > i).
+
+    One vectorized pass first certifies entries whose exact value is
+    provably >= 0: those cannot lower the running min below its start
+    of 0.0, so only the rest run exactly, in loop order, and the result
+    is bit-identical to calling every entry. Singleton {i} is certified
+    when a = m[i, i] >= 1: Cholesky returns 2 log(sqrt(a)) >= 0. Pair
+    {i, j} is certified when a = m[i, i] > 0, c = m[j, j] > 0 and, in
+    floating point, ac - b^2 - 32 eps (ac + b^2) >= 1 + 2^-20, with
+    b = max(|m[i, j]|, |m[j, i]|). This test's own rounding costs under
+    2 eps (ac + b^2). Cholesky's backward error (Higham, Thm 10.3,
+    gamma_3 for n = 2, widened for a reciprocal scaling) costs under
+    5 eps, so a successful factor has det >= 1 + 2^-21 and its log sum
+    stays positive past a few ulps of log error. The elimination
+    fallback's pivot a * second pivot costs under 2 eps, and its clamp
+    only raises a pivot. Any overflow or nan fails the test.
     """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError("kernel matrix must be square")
+    if not np.isfinite(m).all():
+        raise ConfigError("kernel matrix has a non-finite entry")
+    d = m.diagonal()
+    b = np.maximum(np.abs(m), np.abs(m.T))
+    with np.errstate(all="ignore"):
+        ac, bb = np.multiply.outer(d, d), b * b
+        slack = ac - bb - 32 * np.finfo(float).eps * (ac + bb)
+    exact = ~((slack >= 1.0 + 2.0**-20) & (d > 0) & (d > 0)[:, None])
+    np.fill_diagonal(exact, ~(d >= 1.0))
     worst = 0.0
-    for i in range(n):
-        worst = min(worst, _logdet_floored(_principal(m, [i]))[0])
-        for j in range(i + 1, n):
-            worst = min(worst, _logdet_floored(_principal(m, [i, j]))[0])
+    for i, j in zip(*np.nonzero(np.triu(exact))):
+        worst = min(worst, _logdet_floored(_principal(m, [i] if i == j else [i, j]))[0])
     return max(0.0, -worst) + 1.0
 
 
