@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamls import (
@@ -29,6 +29,7 @@ from streamls import (
     seqdpp_conditional_value,
     suggest_logdet_offset,
 )
+from streamls import objectives
 from streamls.objectives import DET_FLOOR, ValueOracle, _logdet_floored, _principal
 
 
@@ -271,6 +272,145 @@ class TestLogDet:
             assert oracle.value(elems(i)) >= 0.0
             for j in range(i + 1, 5):
                 assert oracle.value(elems(i, j)) >= 0.0
+
+
+def _reference_offset(matrix: np.ndarray) -> float:
+    """``suggest_logdet_offset`` as it read before the vectorized screen.
+
+    Kept verbatim: every singleton, then every pair (i, j > i), exactly.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    worst = 0.0
+    for i in range(n):
+        worst = min(worst, _logdet_floored(_principal(m, [i]))[0])
+        for j in range(i + 1, n):
+            worst = min(worst, _logdet_floored(_principal(m, [i, j]))[0])
+    return max(0.0, -worst) + 1.0
+
+
+def _near_one_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Equal diagonals a in [1e2, 1e8] and each pair's a^2 - b^2 within a
+    few ulps of 1, 1 + 2^-20 or 2: where a^2 - b^2 loses its digits to
+    cancellation, so only the error term keeps the screen sound."""
+    a = 10.0 ** rng.uniform(2, 8)
+    m = np.zeros((n, n))
+    np.fill_diagonal(m, a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            target = rng.choice([1.0, 1.0 + 2.0**-20, 2.0])
+            target *= 1.0 + int(rng.integers(-4, 5)) * 2.0**-52
+            m[i, j] = m[j, i] = math.sqrt(max(a * a - target, 0.0))
+    return m
+
+
+@st.composite
+def offset_matrices(draw):
+    """Square finite matrices, PSD or not, at scales from 1e-300 to 1e300."""
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(("full", "deficient", "twin", "raw", "near-one", "scaled"))
+    )
+    factors = rng.normal(size=(n, n))
+    if kind == "full":
+        return factors @ factors.T + draw(st.sampled_from((1e-6, 0.1, 2.0))) * np.eye(n)
+    if kind == "deficient":
+        factors = rng.normal(size=(n, draw(st.integers(0, n))))
+        return factors @ factors.T
+    if kind == "twin":
+        rows = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+        return (factors @ factors.T + 0.5 * np.eye(n))[np.ix_(rows, rows)]
+    if kind == "raw":
+        return factors * draw(st.sampled_from((1.0, 3.0)))
+    if kind == "near-one":
+        return _near_one_pairs(rng, n)
+    exponent = draw(st.sampled_from((-300, -150, -20, 20, 150, 300)))
+    return (factors @ factors.T + np.eye(n)) * 10.0**exponent
+
+
+class TestOffsetSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(offset_matrices())
+    @example(np.zeros((0, 0)))
+    @example(np.array([[1.0]]))
+    @example(np.array([[0.5]]))
+    @example(np.array([[1e6, 999999.9999995], [999999.9999995, 1e6]]))
+    def test_screen_matches_the_full_loop_by_repr(self, matrix):
+        with np.errstate(all="ignore"):
+            expected = _reference_offset(matrix)
+        assert repr(suggest_logdet_offset(matrix)) == repr(expected)
+
+    def test_near_one_pairs_by_repr(self):
+        # 2000 pairs of the family that needs the error term; a screen
+        # without it certifies 52 of them whose log-det is negative.
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            matrix = _near_one_pairs(rng, 2)
+            assert repr(suggest_logdet_offset(matrix)) == repr(_reference_offset(matrix))
+
+    @staticmethod
+    def _spy(monkeypatch, matrix):
+        """Run the search; return the (i, j) of each exact call, in order."""
+        where = {value: i for i, value in enumerate(matrix.diagonal())}
+        assert len(where) == matrix.shape[0]
+        calls = []
+
+        def spy(sub):
+            calls.append(tuple(where[v] for v in sub.diagonal()))
+            return _logdet_floored(sub)
+
+        monkeypatch.setattr(objectives, "_logdet_floored", spy)
+        offset = suggest_logdet_offset(matrix)
+        monkeypatch.undo()
+        assert repr(offset) == repr(_reference_offset(matrix))
+        return offset, calls
+
+    @staticmethod
+    def _kernel(n):
+        # An RBF kernel as perfbench builds one: diagonal 4.25 + i/100,
+        # every off-diagonal at most 4, so each pair determinant is >= 2.
+        x = np.random.default_rng(5).normal(size=(n, 6))
+        dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+        matrix = 4.0 * np.exp(-dist / 12.0)
+        np.fill_diagonal(matrix, 4.25 + np.arange(n) / 100.0)
+        return matrix
+
+    def test_certified_kernel_makes_no_exact_call(self, monkeypatch):
+        offset, calls = self._spy(monkeypatch, self._kernel(40))
+        assert offset == 1.0
+        assert calls == []
+
+    def test_exact_calls_are_the_uncertified_entries_in_loop_order(self, monkeypatch):
+        matrix = self._kernel(6)
+        d = matrix.diagonal().copy()
+        # Pair (1, 3) has determinant 0.5, a negative log-det; pair (0, 4)
+        # has determinant 1 within rounding; singleton 2 is 0.5.
+        matrix[1, 3] = matrix[3, 1] = math.sqrt(d[1] * d[3] - 0.5)
+        matrix[0, 4] = matrix[4, 0] = math.sqrt(d[0] * d[4] - 1.0)
+        matrix[2, 2] = 0.5
+        for j in range(6):
+            if j != 2:
+                matrix[2, j] = matrix[j, 2] = 0.1
+        offset, calls = self._spy(monkeypatch, matrix)
+        assert calls == [(0, 4), (1, 3), (2,)]
+        assert offset == pytest.approx(1.0 - math.log(0.5), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.ones(3), "must be square"),
+            (np.ones((3, 2)), "must be square"),
+            (np.array(1.0), "must be square"),
+            (np.ones((2, 3)), "must be square"),
+            (np.array([[1.0, math.nan], [math.nan, 1.0]]), "non-finite"),
+            (np.array([[math.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+        ],
+        ids=["1-d", "3x2", "0-d", "2x3-ones", "nan", "inf"],
+    )
+    def test_malformed_input_is_a_config_error(self, matrix, message):
+        with pytest.raises(ConfigError, match=message):
+            suggest_logdet_offset(matrix)
 
 
 class TestSequentialDpp:
