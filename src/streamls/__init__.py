@@ -30,6 +30,7 @@ from .indstream import IndStreamInstance, ProcessOutcome
 from .localsearch import (
     ChainState,
     GridState,
+    SegmentedDppSession,
     Selection,
     SessionReport,
     StreamingSession,
@@ -55,7 +56,6 @@ from .objectives import (
 )
 from .streamio import (
     RunConfig,
-    SegmentedDppSession,
     load_stream,
     parse_report,
     summary_metrics,

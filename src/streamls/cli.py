@@ -13,10 +13,9 @@ import time
 from . import verify as verify_mod
 from .constraints import KnapsackSpec
 from .errors import StreamLsError
-from .localsearch import StreamingSession
+from .localsearch import SegmentedDppSession, StreamingSession
 from .streamio import (
     RunConfig,
-    SegmentedDppSession,
     build_constraint,
     build_objective,
     format_value,
@@ -41,7 +40,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eps=cfg.eps,
         prune=DoubleGreedyConfig(mode=cfg.mode, seed=cfg.seed),
     )
-    session: SegmentedDppSession | StreamingSession
+    session: StreamingSession
     if cfg.objective == "seqdpp":
         session = SegmentedDppSession(
             oracle.kernel, cfg.segment, constraint, knapsacks, **options

@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError, DomainError
 from .indstream import IndStreamInstance
-from .objectives import GAIN_TOL, Element, ValueOracle
+from .objectives import GAIN_TOL, DppKernel, Element, SequentialDppOracle, ValueOracle
+from .objectives import seqdpp_conditional_value
 from .unconstrained import DoubleGreedyConfig, unconstrained_max
 
 # Guards ceil() against float noise at exact integer arguments.
@@ -249,8 +252,8 @@ class GridState:
     ):
         if knapsacks.d < 1:
             raise ConfigError("the threshold grid needs at least one knapsack")
-        if not eps > 0.0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise ConfigError("eps must be positive and finite")
         # A k read from the rank hint holds only while every element is
         # one the hint covers; ``process`` checks each.
         self._check_hint = k is None
@@ -398,6 +401,74 @@ class GridState:
         }
 
 
+def _new_engine(
+    oracle: ValueOracle,
+    constraint: IndependenceOracle,
+    knapsacks: KnapsackSpec | None = None,
+    *,
+    k: int | None = None,
+    eps: float = 0.2,
+    prune: DoubleGreedyConfig = DoubleGreedyConfig(),
+) -> ChainState | GridState:
+    """A threshold grid when there is a knapsack, else a plain chain."""
+    if knapsacks is not None and knapsacks.d > 0:
+        return GridState(oracle, constraint, knapsacks, k=k, eps=eps, prune=prune)
+    return ChainState(oracle, constraint, prune=prune)
+
+
+EngineFactory = Callable[[ValueOracle], ChainState | GridState]
+
+
+class SegmentState:
+    """Sequential-DPP segments of ``segment_size`` elements, each run by the
+    engine ``new_engine`` makes for an oracle conditioned on the last
+    segment's selection; ``finalize`` and ``stats`` count the running one."""
+
+    def __init__(self, kernel: DppKernel, segment_size: int, new_engine: EngineFactory):
+        if segment_size < 1:
+            raise ConfigError("segment size must be at least 1")
+        self.kernel = kernel
+        self.segment_size = segment_size
+        self._new_engine = new_engine
+        self.prev: frozenset[Element] = frozenset()
+        self.selected: set[Element] = set()
+        self.conditional_total = 0.0
+        self.segments_closed = 0
+        self.high_water = 0
+        self._buffer: list[Element] = []
+        self._engine = new_engine(SequentialDppOracle(kernel))
+
+    def process(self, e: Element) -> None:
+        self._buffer.append(e)
+        self._engine.process(e)
+        self.high_water = max(self.high_water, self._engine.high_water)
+        if len(self._buffer) < self.segment_size:
+            return
+        selection = self._engine.finalize()
+        self.conditional_total += seqdpp_conditional_value(
+            self.kernel, selection.elements, self.prev, frozenset(self._buffer)
+        )
+        self.selected |= selection.elements
+        self.prev = selection.elements
+        self.segments_closed += 1
+        self._buffer = []
+        self._engine = self._new_engine(SequentialDppOracle(self.kernel, self.prev))
+
+    def finalize(self) -> Selection:
+        """Selected-so-far plus the running segment's current best."""
+        current = self._engine.finalize()
+        value = self.conditional_total
+        if self._buffer:
+            value += seqdpp_conditional_value(
+                self.kernel, current.elements, self.prev, frozenset(self._buffer)
+            )
+        return Selection(frozenset(self.selected | current.elements), value)
+
+    def stats(self) -> dict:
+        segments = self.segments_closed + (1 if self._buffer else 0)
+        return {"segments": segments, "high_water": self.high_water}
+
+
 @dataclass
 class SessionReport:
     selection: Selection
@@ -411,7 +482,7 @@ class SessionReport:
 
 
 class StreamingSession:
-    """Push-based driver around one chain or one threshold grid."""
+    """Push-based driver around one chain, threshold grid or segment engine."""
 
     def __init__(
         self,
@@ -423,17 +494,16 @@ class StreamingSession:
         eps: float = 0.2,
         prune: DoubleGreedyConfig = DoubleGreedyConfig(),
     ):
-        if knapsacks is not None and knapsacks.d > 0:
-            self._engine: ChainState | GridState = GridState(
-                oracle, constraint, knapsacks, k=k, eps=eps, prune=prune
-            )
-        else:
-            self._engine = ChainState(oracle, constraint, prune=prune)
+        engine = _new_engine(oracle, constraint, knapsacks, k=k, eps=eps, prune=prune)
+        self._start(engine)
+
+    def _start(self, engine: ChainState | GridState | SegmentState) -> None:
+        self._engine = engine
         self.pushed = 0
         self.seconds_total = 0.0
 
     @property
-    def engine(self) -> ChainState | GridState:
+    def engine(self) -> ChainState | GridState | SegmentState:
         return self._engine
 
     def push(self, e: Element) -> None:
@@ -453,3 +523,19 @@ class StreamingSession:
             seconds_total=self.seconds_total,
             stats=self._engine.stats(),
         )
+
+
+class SegmentedDppSession(StreamingSession):
+    """A session over sequential-DPP segments; see ``SegmentState``."""
+
+    def __init__(
+        self,
+        kernel: DppKernel,
+        segment_size: int,
+        constraint: IndependenceOracle,
+        knapsacks: KnapsackSpec | None = None,
+        **options,
+    ):
+        """``options`` are ``StreamingSession``'s keyword options."""
+        options.update(constraint=constraint, knapsacks=knapsacks)
+        self._start(SegmentState(kernel, segment_size, partial(_new_engine, **options)))

@@ -405,6 +405,22 @@ class SequentialDppOracle(ValueOracle):
 ComponentFn = Callable[[frozenset[Element]], float]
 
 
+def coverage_component(
+    items: AbstractSet[Hashable],
+    items_of: Callable[[Element], AbstractSet[Hashable]],
+) -> ComponentFn:
+    """The share of ``items`` that a set covers, where each element x
+    covers ``items_of(x)``; 0 when ``items`` is empty."""
+
+    def component(s: frozenset[Element]) -> float:
+        if not items:
+            return 0.0
+        covered = set().union(*map(items_of, s))
+        return len(items & covered) / len(items)
+
+    return component
+
+
 class DecomposableOracle(ValueOracle):
     """Mean-of-components objective estimated on a uniform sample W.
 

@@ -6,33 +6,30 @@ import csv
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import AbstractSet, Iterator, Sequence
 
 from .constraints import (
     IndependenceOracle,
-    KnapsackSpec,
     Matchoid,
     PartitionMatroid,
     UniformMatroid,
     cost_problem,
 )
 from .errors import ConfigError, ParseError
-from .localsearch import Selection, SessionReport, StreamingSession
 from .objectives import (
     CoverageOracle,
     CutOracle,
     DecomposableOracle,
-    DppKernel,
+    DppKernel,  # unused here, but perfbench patches this name
     Element,
     LogDetOracle,
     SequentialDppOracle,
     ValueOracle,
+    coverage_component,
     load_kernel,
     reservoir_sample,
     sample_size_bound,
-    seqdpp_conditional_value,
     suggest_logdet_offset,
 )
 
@@ -314,6 +311,10 @@ class RunConfig:
                 setattr(cfg, key, _CONVERTERS.get(key, str)(value))
             except ValueError:
                 raise ParseError(f"malformed {key} {value!r}", lineno) from None
+        if cfg.knapsacks < 0:
+            raise ConfigError(
+                f"knapsack count must be non-negative: knapsacks = {cfg.knapsacks}"
+            )
         if cfg.capacities is not None and len(cfg.capacities) != cfg.knapsacks:
             raise ConfigError(
                 f"{len(cfg.capacities)} capacities given for {cfg.knapsacks} knapsacks"
@@ -359,21 +360,6 @@ def _parse_constraint(spec: str) -> IndependenceOracle:
     raise ConfigError(f"unknown constraint spec {spec!r}")
 
 
-def _coverage_components(elements: Sequence[Element]):
-    def make(e: Element):
-        def component(s: frozenset[Element]) -> float:
-            if not e.groups:
-                return 0.0
-            covered: set[str] = set()
-            for x in s:
-                covered |= x.groups
-            return len(e.groups & covered) / len(e.groups)
-
-        return component
-
-    return {e.id: make(e) for e in elements}
-
-
 def build_objective(cfg: RunConfig, elements: Sequence[Element]) -> ValueOracle:
     """Instantiate the configured oracle over the loaded stream."""
     if cfg.objective == "coverage":
@@ -408,7 +394,9 @@ def build_objective(cfg: RunConfig, elements: Sequence[Element]) -> ValueOracle:
             return LogDetOracle(kernel)
         return SequentialDppOracle(kernel)
     if cfg.objective == "decomposable":
-        components = _coverage_components(elements)
+        components = {
+            e.id: coverage_component(e.groups, lambda x: x.groups) for e in elements
+        }
         bound = sample_size_bound(
             cfg.dec_k, cfg.dec_eps, cfg.dec_delta, max(2, len(elements))
         )
@@ -419,88 +407,6 @@ def build_objective(cfg: RunConfig, elements: Sequence[Element]) -> ValueOracle:
             reservoir_sample(position, sample, capacity, e, rng)
         return DecomposableOracle(components, elements, sample)
     raise ConfigError(f"unknown objective {cfg.objective!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sequential-DPP segment driver
-# ---------------------------------------------------------------------------
-
-
-class SegmentedDppSession:
-    """Closes a segment every ``segment_size`` elements and conditions the
-    next segment's oracle on what was just selected."""
-
-    def __init__(
-        self,
-        kernel: DppKernel,
-        segment_size: int,
-        constraint: IndependenceOracle,
-        knapsacks: KnapsackSpec | None = None,
-        **options,
-    ):
-        """``options`` are ``StreamingSession``'s keyword options."""
-        if segment_size < 1:
-            raise ConfigError("segment size must be at least 1")
-        self.kernel = kernel
-        self.segment_size = segment_size
-        self.constraint = constraint
-        self._options = dict(options, knapsacks=knapsacks)
-        self.prev: frozenset[Element] = frozenset()
-        self.selected: set[Element] = set()
-        self.conditional_total = 0.0
-        self.segments_closed = 0
-        self.pushed = 0
-        self.seconds_total = 0.0
-        self.high_water = 0
-        self._buffer: list[Element] = []
-        self._segment_session = self._open_segment()
-
-    def _open_segment(self) -> StreamingSession:
-        oracle = SequentialDppOracle(self.kernel, prev=self.prev)
-        return StreamingSession(oracle, self.constraint, **self._options)
-
-    def _close_segment(self) -> None:
-        selection = self._segment_session.snapshot()
-        segment = frozenset(self._buffer)
-        self.conditional_total += seqdpp_conditional_value(
-            self.kernel, selection.elements, self.prev, segment
-        )
-        self.selected |= selection.elements
-        self.prev = selection.elements
-        self.segments_closed += 1
-        self.high_water = max(self.high_water, self._segment_session.engine.high_water)
-        self._buffer = []
-        self._segment_session = self._open_segment()
-
-    def push(self, e: Element) -> None:
-        start = time.perf_counter()
-        self._buffer.append(e)
-        self._segment_session.push(e)
-        if len(self._buffer) >= self.segment_size:
-            self._close_segment()
-        self.seconds_total += time.perf_counter() - start
-        self.pushed += 1
-
-    def snapshot(self) -> Selection:
-        """Selected-so-far plus the running segment's current best."""
-        current = self._segment_session.snapshot()
-        combined = frozenset(self.selected | current.elements)
-        value = self.conditional_total
-        if self._buffer:
-            value += seqdpp_conditional_value(
-                self.kernel, current.elements, self.prev, frozenset(self._buffer)
-            )
-        return Selection(combined, value)
-
-    def close(self) -> SessionReport:
-        if self._buffer:
-            self._close_segment()
-        return SessionReport(
-            selection=Selection(frozenset(self.selected), self.conditional_total),
-            pushed=self.pushed,
-            seconds_total=self.seconds_total,
-            stats={"segments": self.segments_closed, "high_water": self.high_water},
-        )
 
 
 # ---------------------------------------------------------------------------

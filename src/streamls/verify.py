@@ -36,6 +36,7 @@ from .objectives import (
     WeightedSumOracle,
     _logdet_floored,
     _principal,
+    coverage_component,
     reservoir_sample,
     sample_size_bound,
 )
@@ -445,18 +446,9 @@ def check_decomposable(trials: int = 100, seed: int = 8) -> CheckResult:
         elements = [Element(id=i) for i in range(n)]
         covers = {i: frozenset(rng.sample(range(10), rng.randint(1, 4))) for i in range(n)}
 
-        def make(eid: int):
-            targets = covers[eid]
-
-            def component(s: frozenset[Element]) -> float:
-                covered: set[int] = set()
-                for x in s:
-                    covered |= covers[x.id]
-                return len(targets & covered) / len(targets)
-
-            return component
-
-        components = {i: make(i) for i in range(n)}
+        components = {
+            i: coverage_component(covers[i], lambda x: covers[x.id]) for i in range(n)
+        }
         capacity = min(sample_size_bound(k, eps, delta, n), n)
         sample: list[Element] = []
         for position, e in enumerate(elements, start=1):

@@ -225,6 +225,12 @@ class TestConfig:
         documented = {line.split("=")[0].strip() for line in lines if "=" in line}
         assert documented == {f.name for f in dataclasses.fields(RunConfig)}
 
+    def test_negative_knapsack_count_names_the_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("knapsacks = -1\n")
+        with pytest.raises(ConfigError, match="non-negative: knapsacks = -1"):
+            RunConfig.from_file(str(path))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("nonsense = 4\n")
@@ -661,6 +667,11 @@ class TestCli:
             ("", ['{"id": 0, "features": "12"}'], "jsonl", "line 1"),
             ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
+            ("knapsacks = 1\neps = inf", None, "csv", "eps must be positive and finite"),
+            (
+                "knapsacks = -1", None, "csv",
+                "knapsack count must be non-negative: knapsacks = -1",
+            ),
             ("knapsacks = 1\neps = 1e-12", None, "csv", "eps = 1e-12 with k = 1073741824"),
             ("knapsacks = 1\neps = 5e-324", None, "csv", "eps = 5e-324 with k = 1073741824"),
             ("knapsacks = 1\ncapacities = nan", None, "csv", "capacities"),
@@ -714,7 +725,8 @@ class TestCli:
         ids=[
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
-            "jsonl-features-string", "jsonl-costs-string", "eps-nan", "eps-tiny",
+            "jsonl-features-string", "jsonl-costs-string", "eps-nan", "eps-inf",
+            "knapsacks-negative", "eps-tiny",
             "eps-denormal", "capacity-nan",
             "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",
             "margin-nan", "capacities-no-knapsacks", "matchoid-p", "csv-field-too-long",

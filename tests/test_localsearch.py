@@ -306,8 +306,9 @@ class TestGrid:
                 PredicateOracle(lambda s: True, rank_hint=4, swap_alpha=1.5),
                 KnapsackSpec(1),
             )
-        with pytest.raises(ConfigError):
-            self._grid(ModularOracle({}), eps=math.nan)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="eps must be positive and finite"):
+                self._grid(ModularOracle({}), eps=eps)
         # A window of log(k) / log1p(eps) runs: trillions, or an overflow.
         for eps in (1e-12, 5e-324):
             with pytest.raises(ConfigError, match="threshold runs"):
