@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError, DomainError
@@ -45,8 +45,47 @@ _MAX_RUNS = 10_000
 Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
 
 
+class _StepMemo(ValueOracle):
+    """f of each set evaluated since the last ``clear``, for an oracle that
+    opts in through ``ValueOracle.memoized``.
+
+    A set is keyed by its element ids in iteration order. An id is an
+    element's identity, and that order is all such an oracle reads of a
+    set, so a hit returns the bits the wrapped call returned.
+    ``GridState`` clears it at each ``process`` and ``finalize``, so it
+    holds one step's sets.
+    """
+
+    def __init__(self, oracle: ValueOracle):
+        self.oracle = oracle
+        self._values: dict[tuple[int, ...], float] = {}
+
+    def value(self, elements: Iterable[Element]) -> float:
+        items = tuple(elements)
+        key = tuple([e.id for e in items])
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self.oracle.value(items)
+        return value
+
+    def clear(self) -> None:
+        self._values.clear()
+
+    @property
+    def clamped(self) -> bool:
+        return self.oracle.clamped
+
+
 def _ceil(x: float) -> int:
     return math.ceil(x - _CEIL_EPS)
+
+
+def _check_options(k: int | None, eps: float) -> None:
+    """eps and an explicit k, checked alike by every engine, grid or not."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
 
 
 def resolve_alpha(constraint: IndependenceOracle) -> float:
@@ -238,6 +277,11 @@ class GridState:
     and opens high ones, so surviving runs never restart. The active
     window keeps one index at or below gamma so that some active
     threshold rho satisfies rho <= rho* <= (1+eps) rho.
+
+    Runs at neighbouring thresholds often hold equal solutions, so one
+    step asks for many sets more than once. For an oracle that opts in
+    through ``ValueOracle.memoized``, the runs and the grid's own f({e})
+    read one ``_StepMemo``, cleared at each ``process`` and ``finalize``.
     """
 
     def __init__(
@@ -252,8 +296,7 @@ class GridState:
     ):
         if knapsacks.d < 1:
             raise ConfigError("the threshold grid needs at least one knapsack")
-        if not 0.0 < eps < math.inf:
-            raise ConfigError("eps must be positive and finite")
+        _check_options(k, eps)
         # A k read from the rank hint holds only while every element is
         # one the hint covers; ``process`` checks each.
         self._check_hint = k is None
@@ -282,6 +325,9 @@ class GridState:
         self._log_2bound = math.log(2.0 * bound)
         # f(empty), for the density screen's bound and the empty fallback.
         self._empty = oracle.value(frozenset())
+        # What the runs and the grid's own f({e}) evaluate.
+        self._step_memo = _StepMemo(oracle) if oracle.memoized else None
+        self._evaluator = oracle if self._step_memo is None else self._step_memo
 
         self.m = 0.0
         self.e_m: Element | None = None
@@ -306,7 +352,7 @@ class GridState:
 
     def _new_chain(self, rho: float) -> ChainState:
         return ChainState(
-            self.oracle,
+            self._evaluator,
             self.constraint,
             prune=self.prune,
             rho=rho,
@@ -353,11 +399,13 @@ class GridState:
                 " so k = auto does not hold; set k explicitly"
             )
         self.processed += 1
+        if self._step_memo is not None:
+            self._step_memo.clear()
         gain_cap = None
         cost = 0.0
         if self.knapsacks.singleton_fits(e):
             # f({e}) sets m, the window and the density screen's bound.
-            value = self.oracle.value(frozenset({e}))
+            value = self._evaluator.value(frozenset({e}))
             if value > self.m and self.constraint.is_independent(frozenset({e})):
                 self.m = value
                 self.e_m = e
@@ -376,6 +424,8 @@ class GridState:
 
     def finalize(self) -> Selection:
         """Best run result versus the best feasible singleton."""
+        if self._step_memo is not None:
+            self._step_memo.clear()
         best: Selection | None = None
         used: Memo = {}
         for chain in self.runs.values():
@@ -411,6 +461,7 @@ def _new_engine(
     prune: DoubleGreedyConfig = DoubleGreedyConfig(),
 ) -> ChainState | GridState:
     """A threshold grid when there is a knapsack, else a plain chain."""
+    _check_options(k, eps)
     if knapsacks is not None and knapsacks.d > 0:
         return GridState(oracle, constraint, knapsacks, k=k, eps=eps, prune=prune)
     return ChainState(oracle, constraint, prune=prune)

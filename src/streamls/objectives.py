@@ -66,6 +66,12 @@ class ValueOracle(ABC):
     # from then on.
     clamped = False
 
+    # Opt-in to the threshold grid's per-step memo. True promises that
+    # ``value(S)`` reads S only by iterating it once, so f(S) follows from
+    # S's elements in iteration order, and that one call costs more than
+    # building and hashing that order as a key.
+    memoized = False
+
     @abstractmethod
     def value(self, elements: Iterable[Element]) -> float:
         """Return f(S). Must be deterministic for a fixed oracle."""
@@ -296,6 +302,8 @@ def _logdet_warned(matrix: np.ndarray) -> tuple[float, bool]:
 
 class LogDetOracle(ValueOracle):
     """f(S) = log det(L_S) + offset; non-monotone submodular."""
+
+    memoized = True
 
     def __init__(self, kernel: DppKernel):
         self.kernel = kernel

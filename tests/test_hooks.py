@@ -75,6 +75,12 @@ def test_traced_class_is_exported(name):
     assert isinstance(getattr(streamls, name), type)
 
 
+def test_the_memo_opt_in_lives_on_the_log_det_class():
+    # The tracer's LogDetOracle subclasses this class and inherits the
+    # flag, so a traced run memoizes as an untraced one does.
+    assert objectives.LogDetOracle.__dict__["memoized"] is True
+
+
 class Spy:
     """Counts the calls to a wrapped callable."""
 

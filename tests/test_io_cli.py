@@ -668,6 +668,8 @@ class TestCli:
             ("knapsacks = 1", ['{"id": 0, "costs": "0"}'], "jsonl", "line 1"),
             ("knapsacks = 1\neps = nan", None, "csv", "eps"),
             ("knapsacks = 1\neps = inf", None, "csv", "eps must be positive and finite"),
+            ("eps = -5\nk = -3", None, "csv", "eps must be positive and finite"),
+            ("k = -3", None, "csv", "k must be at least 1, got -3"),
             (
                 "knapsacks = -1", None, "csv",
                 "knapsack count must be non-negative: knapsacks = -1",
@@ -726,6 +728,7 @@ class TestCli:
             "k", "alpha", "eps", "segment", "uniform", "partition", "jsonl-id",
             "jsonl-cost", "jsonl-id-float", "jsonl-id-bool", "jsonl-groups-string",
             "jsonl-features-string", "jsonl-costs-string", "eps-nan", "eps-inf",
+            "eps-negative-no-knapsack", "k-negative-no-knapsack",
             "knapsacks-negative", "eps-tiny",
             "eps-denormal", "capacity-nan",
             "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",

@@ -376,6 +376,15 @@ class TestSession:
         )
         assert isinstance(grid.engine, GridState)
 
+    @pytest.mark.parametrize("knapsacks", [None, KnapsackSpec(1)], ids=["chain", "grid"])
+    def test_eps_and_k_are_checked_by_every_engine(self, knapsacks):
+        for eps in (-5.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="eps must be positive and finite"):
+                StreamingSession(ModularOracle({}), UniformMatroid(2), knapsacks, eps=eps)
+        for k in (-3, 0):
+            with pytest.raises(ConfigError, match=f"k must be at least 1, got {k}"):
+                StreamingSession(ModularOracle({}), UniformMatroid(2), knapsacks, k=k)
+
 
 class TestDeclaredAlpha:
     """The constraint's ``swap_alpha`` is the one source of alpha."""
@@ -718,6 +727,22 @@ class PairCounter(ValueOracle):
         return self.inner.clamped
 
 
+class MemoPairCounter(PairCounter):
+    """A ``PairCounter`` that opts in to the grid's step memo and records
+    each set of two or more it is asked for, by ids in iteration order."""
+
+    memoized = True
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = set()
+
+    def value(self, elements):
+        if len(elements) >= 2:
+            self.seen.add(tuple(e.id for e in elements))
+        return super().value(elements)
+
+
 def assert_same_grid(session, reference):
     assert session.engine.stats() == reference.stats()
     assert session.engine.high_water == reference.high_water
@@ -804,6 +829,51 @@ class TestDensityScreen:
         assert saved_before_clamp > 0
         assert after_clamp >= 4
 
+    def test_screen_is_off_once_a_memoized_oracle_clamped(self):
+        # test_screen_is_off_once_the_oracle_clamped's twin-element kernel,
+        # under an oracle the session memoizes. The memo evaluates each
+        # ordered set once per push, so the session's calls are set against
+        # the reference's distinct sets per push, not its raw calls.
+        rng = np.random.default_rng(4)
+        factors = rng.normal(size=(12, 6))
+        matrix = np.zeros((14, 14))
+        matrix[:12, :12] = factors @ factors.T + 0.5 * np.eye(12)
+        matrix[12:, 12:] = 4.0
+        costs = random.Random(4)
+        elements = [Element(id=i, costs=(costs.uniform(0.05, 1.0),)) for i in range(14)]
+        order = elements[:6] + [elements[12]] + elements[6:8] + [elements[13]]
+        order += elements[8:12]
+        session_oracle = MemoPairCounter(LogDetOracle(DppKernel(matrix)))
+        reference_oracle = MemoPairCounter(LogDetOracle(DppKernel(matrix)))
+        options = dict(k=8, eps=0.2)
+        session = StreamingSession(
+            session_oracle, UniformMatroid(8), KnapsackSpec(1), **options
+        )
+        reference = ReferenceGrid(
+            reference_oracle, UniformMatroid(8), KnapsackSpec(1), **options
+        )
+        saved_before_clamp = after_clamp = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for e in order:
+                was_clamped = session_oracle.clamped
+                calls = session_oracle.calls
+                reference_oracle.seen.clear()
+                session.push(e)
+                reference.process(e)
+                made = session_oracle.calls - calls
+                distinct = len(reference_oracle.seen)
+                if was_clamped:
+                    assert made == distinct
+                    after_clamp += 1
+                else:
+                    assert made <= distinct
+                    saved_before_clamp += distinct - made
+                assert_same_grid(session, reference)
+        assert session_oracle.clamped
+        assert saved_before_clamp > 0
+        assert after_clamp >= 4
+
     def test_margin_scales_with_the_held_values(self):
         # On top of f({1}) - f(empty) = 1e-3, rounding in f({0, 1}) = 1e7
         # + 1e-3 lifts the gain the gate sees by 1.6e-10: far more than a
@@ -843,6 +913,76 @@ class TestDensityScreen:
         chain.process(taken, gain_cap=1.0, cost=0.2)
         assert oracle.calls == 1
         assert chain.instances[0].current_solution() == frozenset({taken})
+
+
+class CountingLogDet(LogDetOracle):
+    """A log-det oracle that counts its calls; it inherits the opt-in."""
+
+    calls = 0
+
+    def value(self, elements):
+        self.calls += 1
+        return super().value(elements)
+
+
+def assert_same_bits(session, reference):
+    assert repr(session.engine.stats()) == repr(reference.stats())
+    assert session.engine.high_water == reference.high_water
+    got, want = session.snapshot(), reference.finalize()
+    assert repr(got.ids) == repr(want.ids)
+    assert repr(got.value) == repr(want.value)
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "prune", [DoubleGreedyConfig(), RANDOMIZED], ids=["deterministic", "randomized"]
+    )
+    def test_grid_matches_the_unmemoized_reference(self, d, prune):
+        rng = random.Random(f"step-memo:{d}")
+        memoized = unmemoized = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(8):
+                instance = random_instance(rng, d=d, kinds=("logdet",))
+                kernel = instance.oracle.kernel
+                # Each side has its own oracle, so only its own calls clamp it.
+                session_oracle = CountingLogDet(kernel)
+                reference_oracle = CountingLogDet(kernel)
+                options = dict(k=instance.k, eps=0.2, prune=prune)
+                session = StreamingSession(
+                    session_oracle, instance.constraint, instance.knapsacks, **options
+                )
+                reference = ReferenceGrid(
+                    reference_oracle, instance.constraint, instance.knapsacks, **options
+                )
+                memo = session.engine._step_memo
+                for e in instance.elements:
+                    session.push(e)
+                    reference.process(e)
+                    # Cleared at the push's start, the memo holds only sets
+                    # with e in them, and f(empty) of a run opened by e.
+                    assert all(e.id in key for key in memo._values if key)
+                    assert all(c.oracle is memo for c in session.engine.runs.values())
+                    assert all(
+                        c.oracle is reference_oracle for c in reference.runs.values()
+                    )
+                    assert_same_bits(session, reference)
+                report = session.close()
+                want = reference.finalize()
+                assert repr(report.stats) == repr(reference.stats())
+                assert repr(report.selection.ids) == repr(want.ids)
+                assert repr(report.selection.value) == repr(want.value)
+                memoized += session_oracle.calls
+                unmemoized += reference_oracle.calls
+        assert memoized < unmemoized
+
+    def test_an_oracle_that_does_not_opt_in_runs_bare(self):
+        oracle = ModularOracle({0: 1.0})
+        session = StreamingSession(oracle, UniformMatroid(2), KnapsackSpec(1), k=2)
+        session.push(costed(0, 0.5))
+        assert session.engine._step_memo is None
+        assert all(c.oracle is oracle for c in session.engine.runs.values())
 
 
 def live_solutions(engine):

@@ -4,6 +4,7 @@ log-det path and a submodularity spot check."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +273,51 @@ class TestLogDet:
             assert oracle.value(elems(i)) >= 0.0
             for j in range(i + 1, 5):
                 assert oracle.value(elems(i, j)) >= 0.0
+
+
+def _memo_kernel() -> DppKernel:
+    rng = np.random.default_rng(18)
+    factors = rng.normal(size=(60, 30))
+    return DppKernel(factors @ factors.T + 0.1 * np.eye(60))
+
+
+# How to build each oracle class that opts in to the grid's step memo.
+MEMOIZED = {LogDetOracle: lambda: LogDetOracle(_memo_kernel())}
+
+
+class TestMemoOptIn:
+    def test_the_opted_in_classes_are_known(self):
+        classes = {
+            cls
+            for cls in vars(objectives).values()
+            if isinstance(cls, type) and issubclass(cls, ValueOracle) and cls.memoized
+        }
+        assert classes == set(MEMOIZED)
+        # Each rebuilds its argument as a set before reading it: Sequential-
+        # DPP and the weighted sum with set(), the decomposable oracle with
+        # frozenset() for its components. A rebuilt set's order depends on
+        # the argument's table size as well as its iteration order, so a
+        # key made from that order would match a log-det's bits only by luck.
+        for cls in (SequentialDppOracle, WeightedSumOracle, DecomposableOracle):
+            assert cls.memoized is False
+
+    @pytest.mark.parametrize("cls", list(MEMOIZED), ids=lambda cls: cls.__name__)
+    def test_equal_iteration_order_gives_equal_bits(self, cls):
+        oracle = MEMOIZED[cls]()
+        rng = random.Random(18)
+        equal_orders = unequal_tables = 0
+        for _ in range(2000):
+            elements = [Element(id=i) for i in rng.sample(range(60), rng.randint(1, 30))]
+            by_keys = frozenset(dict.fromkeys(elements).keys())
+            by_union = frozenset(elements[:-1]) | {elements[-1]}
+            want = repr(oracle.value(by_keys))
+            # The memo hands the wrapped oracle a tuple in the same order.
+            assert repr(oracle.value(tuple(by_keys))) == want
+            if list(by_keys) == list(by_union):
+                equal_orders += 1
+                unequal_tables += sys.getsizeof(by_keys) != sys.getsizeof(by_union)
+                assert repr(oracle.value(by_union)) == want
+        assert equal_orders > 100 and unequal_tables > 0
 
 
 def _reference_offset(matrix: np.ndarray) -> float:

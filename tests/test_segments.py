@@ -188,6 +188,19 @@ class TestSegmentEngine:
         with pytest.raises(ConfigError, match="segment size"):
             SegmentedDppSession(kernel, 0, UniformMatroid(1))
 
+    @pytest.mark.parametrize(
+        "options, needle",
+        [
+            (dict(eps=-5.0), "eps must be positive and finite"),
+            (dict(k=-3), "k must be at least 1, got -3"),
+        ],
+        ids=["eps", "k"],
+    )
+    def test_options_are_checked_without_a_knapsack(self, options, needle):
+        kernel, _ = seeded_stream(random.Random("options"), 2, 0)
+        with pytest.raises(ConfigError, match=needle):
+            SegmentedDppSession(kernel, 2, UniformMatroid(1), **options)
+
 
 class TestOneDriver:
     def test_segmented_session_defines_no_driver_method(self):
