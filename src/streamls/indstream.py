@@ -108,13 +108,36 @@ class IndStreamInstance:
         self._note_memory()
         return ProcessOutcome(True, evicted)
 
+    def _gain(self, s: frozenset[Element], e: Element) -> float:
+        return self.oracle.value(s | {e}) - self._value
+
+    def _sparse(self, gain: float, cost: float) -> bool:
+        """The density gate: below rho per unit of a positive cost.
+
+        A zero-cost element passes; the swap rule then rejects it on a
+        gain of at most GAIN_TOL, since every held weight exceeds GAIN_TOL.
+        """
+        return cost > 0.0 and gain / cost < self.rho
+
+    def _short(self, gain: float, evicted: frozenset[Element]) -> bool:
+        """The swap rule: e that fits must gain more than GAIN_TOL, and a
+        swap at least twice the weight it evicts."""
+        if not evicted:
+            return gain <= GAIN_TOL
+        return gain < 2.0 * sum(self._weights[x] for x in evicted)
+
     def process(self, e: Element) -> ProcessOutcome:
         """Swap-rule update with ``e``, gated as the instance was built.
 
         A frozen instance rejects ``e`` at once; otherwise e's gain is
-        f(S + e) - f(S), from one value call on S + e.
+        f(S + e) - f(S), from one value call on S + e. When the oracle
+        gives a ``gain_bound``, the density gate and the swap rule first
+        test the bound, and the value call is made only if neither
+        rejects it. Both compare by division by a positive cost, ``<`` and
+        ``<=``, all monotone in floats, so every step the bound rejects is
+        one the gain would reject.
         """
-        rho, knapsacks = self.rho, self.knapsacks
+        knapsacks = self.knapsacks
         self.processed += 1
         if self._overflow is not None:
             return self._reject(e)
@@ -126,30 +149,28 @@ class IndStreamInstance:
             return self._reject(e)
 
         s = self.current_solution()
-        gain = self.oracle.value(s | {e}) - self._value
-
-        if rho is not None:
-            # A zero-cost element passes; the fit and swap tests below
-            # reject it on a gain of at most GAIN_TOL, since every held
-            # weight exceeds GAIN_TOL.
-            total_cost = knapsacks.total_cost(e) if knapsacks is not None else 0.0
-            if total_cost > 0.0 and gain / total_cost < rho:
-                return self._reject(e)
+        bound = self.oracle.gain_bound(s, e)
+        gain = self._gain(s, e) if bound is None else bound
+        gated = self.rho is not None and knapsacks is not None
+        cost = knapsacks.total_cost(e) if gated else 0.0
+        if self._sparse(gain, cost):
+            return self._reject(e)
 
         per_part = exchange_candidates(self.constraint, s, e)
         if not per_part:
             return self._reject(e)
-        if not per_part[0]:
-            # [empty set]: e fits as it is.
-            if gain <= GAIN_TOL:
-                return self._reject(e)
-            evicted: frozenset[Element] = frozenset()
-        else:
-            # The cheapest member of each blocked part makes way for e.
+        # [empty set]: e fits as it is. Otherwise the cheapest member of
+        # each blocked part makes way for e.
+        evicted: frozenset[Element] = frozenset()
+        if per_part[0]:
             evicted = frozenset(
                 min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
             )
-            if gain < 2.0 * sum(self._weights[x] for x in evicted):
+        if self._short(gain, evicted):
+            return self._reject(e)
+        if bound is not None:
+            gain = self._gain(s, e)
+            if self._sparse(gain, cost) or self._short(gain, evicted):
                 return self._reject(e)
 
         if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError, DomainError
@@ -67,6 +67,9 @@ class _StepMemo(ValueOracle):
         if value is None:
             value = self._values[key] = self.oracle.value(items)
         return value
+
+    def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
+        return self.oracle.gain_bound(s, e)
 
     def clear(self) -> None:
         self._values.clear()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -28,6 +29,15 @@ DET_FLOOR = 1e-300
 
 _SYMMETRY_TOL = 1e-9
 _PSD_EIG_TOL = -1e-8
+
+# Unit roundoff of a double.
+_U = 2.0**-53
+
+# LogDetOracle.gain_bound certifies a kernel only when its eigenvalue
+# bounds lie in this band: no pivot then comes near DET_FLOOR, and no
+# product in its proof overflows or loses more than it can afford to
+# underflow.
+_CERT_LOW, _CERT_HIGH = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,18 @@ class ValueOracle(ABC):
     @abstractmethod
     def value(self, elements: Iterable[Element]) -> float:
         """Return f(S). Must be deterministic for a fixed oracle."""
+
+    def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
+        """An upper bound on the gain of ``e``, not in ``s``, over ``s``, or None.
+
+        A number promises that ``value(s | {e}) - f(s)``, with f(s) as an
+        instance tracks it (one value call on s, or the last gain added to
+        the value before it), is at most it in floats, and that the value
+        call would leave ``clamped`` as it is. ``IndStreamInstance`` then
+        tests its gates on the bound first and skips the value call when
+        one rejects. None, the default, makes no promise.
+        """
+        return None
 
 
 class ModularOracle(ValueOracle):
@@ -190,10 +212,20 @@ class DppKernel:
             raise ConfigError("kernel matrix must be square")
         if not np.isfinite(m).all():
             raise ConfigError("kernel matrix has a non-finite entry")
-        if not np.allclose(m, m.T, atol=_SYMMETRY_TOL, rtol=0.0):
+        asymmetry = float(np.abs(m - m.T).max()) if m.size else 0.0
+        if asymmetry > _SYMMETRY_TOL:
             raise ConfigError("kernel matrix is not symmetric")
-        if m.shape[0] > 0 and float(np.linalg.eigvalsh(m).min()) < _PSD_EIG_TOL:
-            raise ConfigError("kernel matrix is not positive semidefinite")
+        # True when every principal submatrix, in any order, is a permuted
+        # copy of one and the same symmetric matrix.
+        self.exactly_symmetric = asymmetry == 0.0
+        # (smallest, largest) eigenvalue as eigvalsh computed them, or None
+        # for the empty kernel; LogDetOracle.gain_bound reads them.
+        self.eigen_range: tuple[float, float] | None = None
+        if m.shape[0] > 0:
+            eigenvalues = np.linalg.eigvalsh(m)
+            self.eigen_range = (float(eigenvalues.min()), float(eigenvalues.max()))
+            if self.eigen_range[0] < _PSD_EIG_TOL:
+                raise ConfigError("kernel matrix is not positive semidefinite")
         self.set_offset(offset)
         self.matrix = m
         self.ids = tuple(range(m.shape[0])) if ids is None else tuple(ids)
@@ -288,16 +320,31 @@ def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
 def _logdet_warned(matrix: np.ndarray) -> tuple[float, bool]:
     """``_logdet_floored``, with a RuntimeWarning when a pivot was clamped.
 
-    Called from an oracle's ``value()``; the warning names that call's caller.
+    Called from an oracle's ``value()``; the warning names the code that
+    asked for the value: an instance step, double greedy or an engine,
+    past every oracle ``value`` that passed the call through (a mixture, a
+    grid's step memo, a subclass calling ``super().value``).
     """
     value, clamped = _logdet_floored(matrix)
     if clamped:
         warnings.warn(
             "log-det pivot clamped at floor; kernel submatrix is near singular",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_asker_stacklevel(),
         )
     return value, clamped
+
+
+def _asker_stacklevel() -> int:
+    """``_logdet_warned``'s stacklevel for the first frame, above the
+    oracle ``value`` that called it, that is not an oracle's ``value``."""
+    # Frames: 0 this function, 1 _logdet_warned, 2 the value at level 2.
+    frame, level = sys._getframe(2), 2
+    while frame.f_code.co_name == "value" and isinstance(
+        frame.f_locals.get("self"), ValueOracle
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class LogDetOracle(ValueOracle):
@@ -307,12 +354,90 @@ class LogDetOracle(ValueOracle):
 
     def __init__(self, kernel: DppKernel):
         self.kernel = kernel
+        # gain_bound's kernel constants: kappa = Lam / lam and ell, with
+        # every pivot's log within ell of 0, or kappa None (no certificate).
+        self._kappa: float | None = None
+        n = kernel.matrix.shape[0]
+        if kernel.eigen_range is None or not kernel.exactly_symmetric:
+            return
+        lo, hi = kernel.eigen_range
+        reach = 4.0 * n * n * _U * max(abs(lo), abs(hi))
+        lam, big = lo - reach, hi + reach
+        if _CERT_LOW <= lam and big <= _CERT_HIGH:
+            self._kappa = big / lam
+            self._ell = max(-math.log(lam / 2.0), math.log(2.0 * big))
+            self._diag = kernel.matrix.diagonal().copy()
 
     def value(self, elements: Iterable[Element]) -> float:
         value, clamped = _logdet_warned(self.kernel.submatrix(elements))
         if clamped:
             self.clamped = True
         return value + self.kernel.offset
+
+    def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
+        """min over x in S of log(L_ee - L_xe^2 / L_xx), log L_ee for an
+        empty S, plus a slack; None unless the certificate below holds.
+
+        The gain log det L_{S+e} - log det L_S is the log of e's Schur
+        complement on S, and conditioning on more elements only lowers it
+        (submodularity), so it is at most e's complement on any single x.
+
+        Certificate, with u = 2^-53, n the kernel's order and k = |S| + 1.
+        The kernel is exactly symmetric, so every submatrix ``value`` is
+        handed is a permuted principal submatrix M of it. eigvalsh is
+        backward stable, its error past p(n) u ||L|| for p(n) = 4 n^2,
+        which is above both its usual O(n) growth and its worst case, so
+        lam = lo - 4 n^2 u max(|lo|, |hi|) and Lam = hi + the same bound
+        every eigenvalue of L, hence (interlacing) of M and of every Schur
+        complement in M. The certificate asks 1e-150 <= lam, Lam <= 1e150
+        and eta = 4 (k + 1)^2 u Lam / lam <= 1/4.
+        - Cholesky of M, when it completes, gives R^T R = M + dM with
+          |dM| <= gamma_{k+1} |R^T| |R| (Higham, Thm 10.3), so ||dM||_2 <=
+          gamma_{k+1} tr(M) / (1 - gamma_{k+1}) < (k + 1)^2 u Lam; the
+          factor 4 in delta = eta lam covers blocked factorizations and
+          products that underflow, which cost under 2^-1074 each against
+          a lam of at least 1e-150. It completes (Demmel; Higham, Thm 10.7)
+          since lam / Lam >= 16 (k + 1)^2 u exceeds k gamma_{k+1} /
+          (1 - k gamma_{k+1}). Each pivot r_jj^2 is a Schur complement of
+          M + dM, so it is at least lam - delta >= 3 lam / 4, far above
+          DET_FLOOR: the Cholesky path returns and nothing clamps.
+        - Then 2 sum log r_jj = log det(M + dM), within k eta / (1 - eta)
+          <= 2 k eta of log det M. Each |log r_jj^2| <= ell = max(|log
+          (lam / 2)|, |log(2 Lam)|); np.log and the sum add under (k + 6)
+          k u ell, and adding the offset u |f|. f(S) as the instance holds
+          it is one such value on k - 1 elements, or the last gain added
+          to one, which adds under 3 u (|offset| + k ell).
+        - The bound's own terms: L_ee - L_xe^2 / L_xx loses under 6 u Lam
+          against an exact value of at least lam, so its log under 7 u
+          Lam / lam, and np.log and the final sums add a few u ell.
+        The slack 4 k eta + 2 (k + 8)^2 u ell + 8 u (|offset| + Lam / lam)
+        covers all of it, so the float gain ``IndStreamInstance`` takes
+        is at most the returned number.
+        """
+        kappa = self._kappa
+        if kappa is None:
+            return None
+        k = len(s) + 1
+        eta = 4.0 * (k + 1) ** 2 * _U * kappa
+        if eta > 0.25:
+            return None
+        kernel = self.kernel
+        idx = kernel.indices((*s, e))
+        j = idx.pop()
+        row = kernel.matrix[j]
+        least = row[j]
+        if idx:
+            taken = np.array(idx)
+            pulled = row.take(taken)
+            pulled *= pulled
+            pulled /= self._diag.take(taken)
+            least = least - pulled.max()
+        slack = (
+            4.0 * k * eta
+            + 2.0 * (k + 8) ** 2 * _U * self._ell
+            + 8.0 * _U * (abs(kernel.offset) + kappa)
+        )
+        return math.log(least) + slack
 
 
 def suggest_logdet_offset(matrix: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,6 +494,99 @@ def check_anytime(seed: int = 9, trials: int = 20) -> CheckResult:
     return result
 
 
+class UnscreenedLogDet(LogDetOracle):
+    """A log-det oracle that gives no gain bound: every instance step it
+    serves makes its value call, the path before the bound screen."""
+
+    def gain_bound(self, s, e):
+        return None
+
+
+def _near_singular_kernel(rng: random.Random, n: int) -> np.ndarray:
+    """A rank-1 or rank-2 PSD kernel plus a ridge of at most 1e-12, so that
+    many principal submatrices are singular in floating point and their
+    log-dets clamp at ``DET_FLOOR``. Half the kernels take their factors
+    from {-1, 0, 1}: exact products, so twin rows and zero rows are exact."""
+    nprng = np.random.default_rng(rng.randrange(1 << 30))
+    shape = (n, rng.randint(1, 2))
+    if rng.random() < 0.5:
+        factors = nprng.integers(-1, 2, size=shape).astype(float)
+    else:
+        factors = nprng.normal(size=shape)
+    matrix = factors @ factors.T
+    matrix = 0.5 * (matrix + matrix.T)
+    return matrix + rng.choice((0.0, 0.0, 1e-16, 1e-14, 1e-12)) * np.eye(n)
+
+
+def _screen_run(
+    oracle: LogDetOracle,
+    elements: list[Element],
+    constraint: IndependenceOracle,
+    knapsacks: KnapsackSpec | None,
+    k: int,
+) -> tuple[str, bool]:
+    """Stream with a snapshot every third push; return a transcript of the
+    snapshots, the close, its stats and the warnings, and the clamp state."""
+    session = StreamingSession(oracle, constraint, knapsacks, k=k)
+    seen = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, e in enumerate(elements):
+            session.push(e)
+            if i % 3 == 2:
+                snap = session.snapshot()
+                seen.append((snap.ids, repr(snap.value)))
+        report = session.close()
+    seen.append((report.selection.ids, repr(report.selection.value)))
+    seen.append(repr(report.stats))
+    seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
+    return repr(seen), oracle.clamped
+
+
+def check_screen_on_clamping_kernels(trials: int = 200, seed: int = 10) -> CheckResult:
+    """On near-singular log-det kernels, a session whose oracle gives
+    ``gain_bound`` matches, output and clamp state alike, one whose oracle
+    gives none. The detail counts the trials that clamped, and those
+    whose kernel the bound certifies (it never clamps)."""
+    rng = random.Random(seed)
+    result = CheckResult("screen-matches-on-clamping-kernels")
+    clamping = certified = 0
+    for t in range(trials):
+        n = rng.randint(6, 10)
+        d = t % 3
+        _, constraint, groups = _constraint(rng, n)
+        if rng.random() < 0.25:
+            constraint = UniformMatroid(1 << 30)  # constraint = none
+        elements = [
+            Element(
+                id=i,
+                costs=tuple(rng.uniform(0.05, 1.0) for _ in range(d)),
+                groups=groups[i],
+            )
+            for i in range(n)
+        ]
+        rng.shuffle(elements)
+        matrix = _near_singular_kernel(rng, n)
+        knapsacks = KnapsackSpec(d) if d else None
+        k = min(n, constraint.rank_hint or n)
+        # The floored elimination overflows on singular blocks by design.
+        with np.errstate(all="ignore"):
+            kernel = DppKernel(matrix, offset=exact_logdet_offset(matrix))
+            oracle = LogDetOracle(kernel)
+            screened = _screen_run(oracle, elements, constraint, knapsacks, k)
+            reference = _screen_run(
+                UnscreenedLogDet(kernel), elements, constraint, knapsacks, k
+            )
+        clamping += reference[1]
+        certified += oracle.gain_bound(frozenset(), elements[0]) is not None
+        result.record(
+            0.0, screened != reference, f"first difference on trial {t}, n{n}/d{d}"
+        )
+    if not result.violations:
+        result.detail = f"{clamping} trials clamped, {certified} certified"
+    return result
+
+
 def run_all(seed: int = 0, trials: int = 0) -> list[CheckResult]:
     """Every check; a non-zero ``trials`` replaces each check's count.
 
@@ -514,4 +608,5 @@ def run_all(seed: int = 0, trials: int = 0) -> list[CheckResult]:
         check_conservation(stream_size=1_000 * (trials or 100), seed=seed + 7),
         check_decomposable(trials=trials or 100, seed=seed + 8),
         check_anytime(seed=seed + 9, trials=trials or 20),
+        check_screen_on_clamping_kernels(trials=trials or 200, seed=seed + 10),
     ]

@@ -69,3 +69,9 @@ def test_decomposable_estimation():
 def test_anytime_snapshots():
     """Snapshots at 25/50/75% leave the final state bit-identical."""
     _run(verify.check_anytime, seed=9, trials=20)
+
+
+def test_screen_matches_on_clamping_kernels():
+    """200 near-singular log-det kernels: the gain-bound screen changes no
+    output and no clamp state."""
+    _run(verify.check_screen_on_clamping_kernels, trials=200, seed=10)

@@ -614,9 +614,9 @@ class TestCli:
     def test_verify_trials_reach_every_check(self, capsys):
         assert main(["verify", "--trials", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        assert len(lines) == 11 and all(line.startswith("PASS") for line in lines)
         # Every check but the closed-form one runs the requested count.
-        assert sum(": 5 trials," in line for line in lines) == 9
+        assert sum(": 5 trials," in line for line in lines) == 10
 
     def test_verify_exits_one_on_violation(self, capsys, monkeypatch):
         from streamls import cli

@@ -32,9 +32,12 @@ from streamls import (
     chain_length,
     guarantee_bound,
 )
+import streamls.indstream as indstream
 import streamls.localsearch as localsearch
+from streamls.indstream import IndStreamInstance
+from streamls.objectives import suggest_logdet_offset
 from streamls.unconstrained import unconstrained_max
-from streamls.verify import random_instance
+from streamls.verify import UnscreenedLogDet, _screen_run, random_instance
 
 
 def costed(i, *costs):
@@ -1056,3 +1059,108 @@ class TestPruningMemo:
         spy.calls = 0
         assert session.snapshot() == first
         assert spy.calls == 0
+
+
+def _screen_kernel(kind, n, seed):
+    """A log-det kernel over ids 0..n-1 and its offset: ``rbf`` is well
+    conditioned, ``edge`` certified for small sets only, and ``clamping``
+    rank 2 with a twin pair, so DET_FLOOR clamps on it."""
+    rng = np.random.default_rng(seed)
+    if kind == "rbf":
+        x = rng.normal(size=(n, 4))
+        dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+        matrix = 4.0 * np.exp(-dist / 8.0) + 0.25 * np.eye(n)
+    elif kind == "edge":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        matrix = (q * np.geomspace(1e-12, 2.0, n)) @ q.T
+    else:
+        factors = rng.integers(-1, 2, size=(n, 2)).astype(float)
+        factors[1] = factors[0] = (1.0, 1.0)
+        matrix = factors @ factors.T
+    matrix = 0.5 * (matrix + matrix.T)
+    return matrix, suggest_logdet_offset(matrix)
+
+
+class TestGainBoundScreen:
+    """Sessions whose log-det oracle gives ``gain_bound`` against the same
+    sessions under ``verify.UnscreenedLogDet``, which gives none."""
+
+    @pytest.mark.parametrize("kernel_kind", ["rbf", "edge", "clamping"])
+    @pytest.mark.parametrize("constraint_kind", ["partition", "uniform", "none"])
+    @pytest.mark.parametrize("d", [0, 1, 2], ids=["chain", "grid-d1", "grid-d2"])
+    def test_screened_session_matches_the_unscreened_one(
+        self, d, constraint_kind, kernel_kind, monkeypatch
+    ):
+        n = 16
+        rng = random.Random(f"screen:{d}:{constraint_kind}:{kernel_kind}")
+        matrix, offset = _screen_kernel(kernel_kind, n, rng.randrange(1 << 30))
+        kernel = DppKernel(matrix, offset=offset)
+        constraint = {
+            "partition": PartitionMatroid({"a": 2, "b": 2, "c": 1}),
+            "uniform": UniformMatroid(4),
+            "none": UniformMatroid(1 << 30),
+        }[constraint_kind]
+        elements = [
+            Element(
+                id=i,
+                costs=tuple(rng.uniform(0.05, 0.6) for _ in range(d)),
+                groups=frozenset({rng.choice("abc")}),
+            )
+            for i in range(n)
+        ]
+        rng.shuffle(elements)
+        knapsacks = KnapsackSpec(d) if d else None
+
+        margins = []
+        gain = IndStreamInstance._gain
+
+        def checked_gain(self, s, e):
+            # Every gain taken on the bound path is at most its bound.
+            got = gain(self, s, e)
+            bound = self.oracle.gain_bound(s, e)
+            if bound is not None:
+                margins.append(bound - got)
+            return got
+
+        monkeypatch.setattr(IndStreamInstance, "_gain", checked_gain)
+        calls = {}
+        value = LogDetOracle.value
+
+        def counted_value(self, elements):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return value(self, elements)
+
+        monkeypatch.setattr(LogDetOracle, "value", counted_value)
+
+        screened_oracle, reference_oracle = LogDetOracle(kernel), UnscreenedLogDet(kernel)
+        with np.errstate(all="ignore"):
+            screened = _screen_run(screened_oracle, elements, constraint, knapsacks, 6)
+            reference = _screen_run(reference_oracle, elements, constraint, knapsacks, 6)
+        assert screened == reference
+        assert min(margins, default=0.0) >= 0.0
+        assert reference[1] == (kernel_kind == "clamping")
+        if kernel_kind == "rbf" and constraint_kind != "none":
+            # Blocked steps that the bound rejects skip their value calls.
+            assert margins
+            assert calls[id(screened_oracle)] < calls[id(reference_oracle)]
+
+
+class TestClampWarningSite:
+    """The clamp warning names the instance step that asked for the set,
+    past the grid's step memo."""
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_warning_names_the_instance_step(self, d):
+        # Twins 0 and 1: their pair's second pivot is exactly 0.
+        matrix = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
+        oracle = LogDetOracle(DppKernel(matrix))
+        session = StreamingSession(
+            oracle, UniformMatroid(3), KnapsackSpec(d) if d else None, k=3
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i in range(3):
+                session.push(Element(id=i, costs=(0.2,) * d))
+        assert oracle.clamped
+        sites = {w.filename for w in caught if w.category is RuntimeWarning}
+        assert sites == {indstream.__file__}

@@ -711,3 +711,136 @@ class TestSubmodularityChecker:
                 oracle, ground, trials=1000, rng=random.Random(5)
             )
             assert ok, f"{type(oracle).__name__} violated diminishing returns: {witness}"
+
+
+def _spectrum_kernel(seed, n, low, high):
+    """An exactly symmetric kernel with eigenvalues spread geometrically
+    over [low, high] (to rounding)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    matrix = (q * np.geomspace(low, high, n)) @ q.T
+    return 0.5 * (matrix + matrix.T)
+
+
+def _bound_cases(seed, n, draws):
+    """Random (S, e) pairs over ids 0..n-1 with e outside S, |S| up to 8."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        ids = rng.sample(range(n), rng.randint(1, min(n, 9)))
+        yield elems(*ids[1:]), Element(id=ids[0])
+
+
+class TestGainBound:
+    @pytest.mark.parametrize(
+        "low, high, offset",
+        [
+            (0.1, 10.0, 0.0),
+            (0.25, 800.0, 20.0),
+            (1e-3, 1e3, 1e6),
+            (0.1, 10.0, 1e15),
+            (1e-13, 1.0, 0.0),  # the certificate's edge in |S|
+            (1e-12, 5.0, 1e9),
+            (3e-150, 1e-147, 0.0),  # near the certified range's floor
+            (1e147, 1e149, 0.0),  # near its ceiling
+        ],
+    )
+    def test_bound_is_at_least_the_gain(self, low, high, offset):
+        n = 12
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(7, n, low, high), offset))
+        bounded = 0
+        for s, e in _bound_cases(f"{low}:{high}", n, 300):
+            bound = oracle.gain_bound(s, e)
+            if bound is None:
+                continue
+            bounded += 1
+            assert bound >= oracle.value(s | {e}) - oracle.value(s), (s, e)
+        assert bounded > 0
+        assert not oracle.clamped
+
+    def test_edge_kernel_is_certified_for_small_sets_only(self):
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(7, 12, 1e-13, 1.0)))
+        sizes = {True: set(), False: set()}
+        for s, e in _bound_cases("edge", 12, 300):
+            sizes[oracle.gain_bound(s, e) is not None].add(len(s))
+        assert sizes[True] and sizes[False]
+        assert max(sizes[True]) < min(sizes[False])
+
+    def test_bound_is_the_tightest_pairwise_complement(self):
+        matrix = _spectrum_kernel(3, 8, 0.5, 4.0)
+        oracle = LogDetOracle(DppKernel(matrix, offset=3.0))
+        e = Element(id=0)
+        assert oracle.gain_bound(frozenset(), e) == pytest.approx(
+            math.log(matrix[0, 0]), abs=1e-9
+        )
+        s = elems(1, 2, 3)
+        want = min(
+            math.log(matrix[0, 0] - matrix[x, 0] ** 2 / matrix[x, x]) for x in (1, 2, 3)
+        )
+        assert oracle.gain_bound(s, e) == pytest.approx(want, abs=1e-9)
+        # A one-element S makes the bound exact, up to its slack.
+        gain = oracle.value(elems(0, 1)) - oracle.value(elems(1))
+        assert oracle.gain_bound(elems(1), e) == pytest.approx(gain, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            _spectrum_kernel(5, 10, 1.0, 2.0) * 0.0,
+            np.ones((6, 6)),
+            (lambda f: f @ f.T)(np.random.default_rng(2).normal(size=(10, 4))),
+            _spectrum_kernel(5, 10, 1e-15, 2.0),
+            _spectrum_kernel(5, 10, 1e-14, 10.0) + 1e-14 * np.eye(10),
+            _spectrum_kernel(5, 10, 1e-160, 1e-152),
+            np.zeros((0, 0)),
+        ],
+        ids=["zero", "ones", "rank4", "kappa1e15", "ridge1e-14", "tiny", "empty"],
+    )
+    def test_no_bound_on_singular_or_near_singular_kernels(self, matrix):
+        oracle = LogDetOracle(DppKernel(matrix))
+        n = matrix.shape[0]
+        for s, e in _bound_cases("singular", max(n, 1), 100):
+            assert oracle.gain_bound(s, e) is None
+
+    def test_no_bound_without_exact_symmetry(self):
+        matrix = _spectrum_kernel(5, 6, 1.0, 2.0)
+        matrix[0, 1] += 1e-12
+        oracle = LogDetOracle(DppKernel(matrix))
+        assert oracle.gain_bound(elems(1), Element(id=0)) is None
+
+    def test_no_bound_from_other_oracles(self):
+        kernel = DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0))
+        covers = {i: {i, i + 1} for i in range(6)}
+        oracles = [
+            ModularOracle({i: 1.0 for i in range(6)}),
+            CoverageOracle(covers),
+            CutOracle([(0, 1, 1.0), (2, 3, 2.0)], nodes=range(6)),
+            WeightedSumOracle([(1.0, LogDetOracle(kernel)), (0.5, CoverageOracle(covers))]),
+            SequentialDppOracle(kernel),
+            DecomposableOracle(
+                {i: lambda s: float(len(s)) for i in range(6)},
+                [Element(id=i) for i in range(6)],
+                [Element(id=0)],
+            ),
+        ]
+        for oracle in oracles:
+            assert oracle.gain_bound(elems(1, 2), Element(id=0)) is None
+
+    def test_element_outside_the_kernel_raises_as_value_does(self):
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0)))
+        for s in (frozenset(), elems(1, 2)):
+            outsider = Element(id=17)
+            with pytest.raises(DomainError) as by_value:
+                oracle.value(s | {outsider})
+            with pytest.raises(DomainError) as by_bound:
+                oracle.gain_bound(s, outsider)
+            assert str(by_bound.value) == str(by_value.value)
+
+    def test_kernel_keeps_one_eigenvalue_range(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m)
+        )
+        kernel = DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0))
+        LogDetOracle(kernel).gain_bound(elems(1), Element(id=0))
+        assert len(calls) == 1
+        assert kernel.eigen_range == pytest.approx((1.0, 2.0), rel=1e-12)
