@@ -242,12 +242,13 @@ class DppKernel:
         self.offset = float(offset)
 
     def indices(self, elements: Iterable[Element]) -> list[int]:
-        out = []
-        for e in elements:
-            if e.id not in self._index:
-                raise DomainError(f"element {e.id} is not indexed by the kernel")
-            out.append(self._index[e.id])
-        return out
+        index = self._index
+        try:
+            return [index[e.id] for e in elements]
+        except KeyError as exc:
+            raise DomainError(
+                f"element {exc.args[0]} is not indexed by the kernel"
+            ) from None
 
     def submatrix(self, elements: Iterable[Element]) -> np.ndarray:
         return _principal(self.matrix, self.indices(elements))
@@ -354,19 +355,27 @@ class LogDetOracle(ValueOracle):
 
     def __init__(self, kernel: DppKernel):
         self.kernel = kernel
-        # gain_bound's kernel constants: kappa = Lam / lam and ell, with
-        # every pivot's log within ell of 0, or kappa None (no certificate).
-        self._kappa: float | None = None
+        # gain_bound's slack, less its offset term, for each |S| whose
+        # k = |S| + 1 the certificate covers; empty when it covers none.
+        self._slacks: list[float] = []
         n = kernel.matrix.shape[0]
         if kernel.eigen_range is None or not kernel.exactly_symmetric:
             return
         lo, hi = kernel.eigen_range
         reach = 4.0 * n * n * _U * max(abs(lo), abs(hi))
         lam, big = lo - reach, hi + reach
-        if _CERT_LOW <= lam and big <= _CERT_HIGH:
-            self._kappa = big / lam
-            self._ell = max(-math.log(lam / 2.0), math.log(2.0 * big))
-            self._diag = kernel.matrix.diagonal().copy()
+        if not (_CERT_LOW <= lam and big <= _CERT_HIGH):
+            return
+        kappa = big / lam
+        ell = max(-math.log(lam / 2.0), math.log(2.0 * big))
+        for k in range(1, n + 1):
+            eta = 4.0 * (k + 1) ** 2 * _U * kappa
+            if eta > 0.25:
+                break
+            self._slacks.append(
+                4.0 * k * eta + 2.0 * (k + 8) ** 2 * _U * ell + 8.0 * _U * kappa
+            )
+        self._diag = kernel.matrix.diagonal().tolist()
 
     def value(self, elements: Iterable[Element]) -> float:
         value, clamped = _logdet_warned(self.kernel.submatrix(elements))
@@ -385,10 +394,12 @@ class LogDetOracle(ValueOracle):
         Certificate, with u = 2^-53, n the kernel's order and k = |S| + 1.
         The kernel is exactly symmetric, so every submatrix ``value`` is
         handed is a permuted principal submatrix M of it. eigvalsh is
-        backward stable, its error past p(n) u ||L|| for p(n) = 4 n^2,
-        which is above both its usual O(n) growth and its worst case, so
-        lam = lo - 4 n^2 u max(|lo|, |hi|) and Lam = hi + the same bound
-        every eigenvalue of L, hence (interlacing) of M and of every Schur
+        backward stable: its eigenvalues are those of L + E with ||E||_2
+        <= p(n) u ||L||_2 for a modest p(n). Taking p(n) = 4 n^2, the
+        order of the worst-case bound for a Householder reduction and far
+        above the O(n) growth seen in practice, lam = lo - 4 n^2 u
+        max(|lo|, |hi|) and Lam = hi + the same amount bound every
+        eigenvalue of L, hence (interlacing) of M and of every Schur
         complement in M. The certificate asks 1e-150 <= lam, Lam <= 1e150
         and eta = 4 (k + 1)^2 u Lam / lam <= 1/4.
         - Cholesky of M, when it completes, gives R^T R = M + dM with
@@ -409,35 +420,27 @@ class LogDetOracle(ValueOracle):
           to one, which adds under 3 u (|offset| + k ell).
         - The bound's own terms: L_ee - L_xe^2 / L_xx loses under 6 u Lam
           against an exact value of at least lam, so its log under 7 u
-          Lam / lam, and np.log and the final sums add a few u ell.
+          Lam / lam, and math.log and the final sums add a few u ell.
         The slack 4 k eta + 2 (k + 8)^2 u ell + 8 u (|offset| + Lam / lam)
         covers all of it, so the float gain ``IndStreamInstance`` takes
         is at most the returned number.
         """
-        kappa = self._kappa
-        if kappa is None:
-            return None
-        k = len(s) + 1
-        eta = 4.0 * (k + 1) ** 2 * _U * kappa
-        if eta > 0.25:
+        if len(s) >= len(self._slacks):
             return None
         kernel = self.kernel
         idx = kernel.indices((*s, e))
         j = idx.pop()
-        row = kernel.matrix[j]
-        least = row[j]
-        if idx:
-            taken = np.array(idx)
-            pulled = row.take(taken)
-            pulled *= pulled
-            pulled /= self._diag.take(taken)
-            least = least - pulled.max()
-        slack = (
-            4.0 * k * eta
-            + 2.0 * (k + 8) ** 2 * _U * self._ell
-            + 8.0 * _U * (abs(kernel.offset) + kappa)
-        )
-        return math.log(least) + slack
+        row, diag = kernel.matrix[j], self._diag
+        # Python floats, the same roundings as numpy's, cost less on a set
+        # this small.
+        pulled = 0.0
+        for i in idx:
+            r = row.item(i)
+            t = r * r / diag[i]
+            if t > pulled:
+                pulled = t
+        slack = self._slacks[len(s)] + 8.0 * _U * abs(kernel.offset)
+        return math.log(diag[j] - pulled) + slack
 
 
 def suggest_logdet_offset(matrix: np.ndarray) -> float:
