@@ -14,11 +14,16 @@ overflowing element as fallback candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constraints import IndependenceOracle, KnapsackSpec, exchange_candidates
 from .errors import PreconditionError
 from .objectives import GAIN_TOL, Element, ValueOracle
+
+# The least float above GAIN_TOL: gain < it holds exactly when
+# gain <= GAIN_TOL does, nan included.
+_ABOVE_GAIN_TOL = math.nextafter(GAIN_TOL, math.inf)
 
 
 @dataclass(frozen=True)
@@ -108,24 +113,6 @@ class IndStreamInstance:
         self._note_memory()
         return ProcessOutcome(True, evicted)
 
-    def _gain(self, s: frozenset[Element], e: Element) -> float:
-        return self.oracle.value(s | {e}) - self._value
-
-    def _sparse(self, gain: float, cost: float) -> bool:
-        """The density gate: below rho per unit of a positive cost.
-
-        A zero-cost element passes; the swap rule then rejects it on a
-        gain of at most GAIN_TOL, since every held weight exceeds GAIN_TOL.
-        """
-        return cost > 0.0 and gain / cost < self.rho
-
-    def _short(self, gain: float, evicted: frozenset[Element]) -> bool:
-        """The swap rule: e that fits must gain more than GAIN_TOL, and a
-        swap at least twice the weight it evicts."""
-        if not evicted:
-            return gain <= GAIN_TOL
-        return gain < 2.0 * sum(self._weights[x] for x in evicted)
-
     def process(self, e: Element) -> ProcessOutcome:
         """Swap-rule update with ``e``, gated as the instance was built.
 
@@ -133,11 +120,11 @@ class IndStreamInstance:
         f(S + e) - f(S), from one value call on S + e. When the oracle
         gives a ``gain_bound``, the density gate and the swap rule first
         test the bound, and the value call is made only if neither
-        rejects it. Both compare by division by a positive cost, ``<`` and
-        ``<=``, all monotone in floats, so every step the bound rejects is
+        rejects it. Both compare by division by a positive cost and by
+        ``<``, all monotone in floats, so every step the bound rejects is
         one the gain would reject.
         """
-        knapsacks = self.knapsacks
+        rho, knapsacks = self.rho, self.knapsacks
         self.processed += 1
         if self._overflow is not None:
             return self._reject(e)
@@ -150,27 +137,35 @@ class IndStreamInstance:
 
         s = self.current_solution()
         bound = self.oracle.gain_bound(s, e)
-        gain = self._gain(s, e) if bound is None else bound
-        gated = self.rho is not None and knapsacks is not None
-        cost = knapsacks.total_cost(e) if gated else 0.0
-        if self._sparse(gain, cost):
+        gain = self.oracle.value(s | {e}) - self._value if bound is None else bound
+        # The density gate. A zero-cost element passes; the swap rule
+        # below rejects it on a gain of at most GAIN_TOL, since every held
+        # weight exceeds GAIN_TOL.
+        cost = 0.0
+        if rho is not None and knapsacks is not None:
+            cost = knapsacks.total_cost(e)
+        if cost > 0.0 and gain / cost < rho:
             return self._reject(e)
 
         per_part = exchange_candidates(self.constraint, s, e)
         if not per_part:
             return self._reject(e)
-        # [empty set]: e fits as it is. Otherwise the cheapest member of
-        # each blocked part makes way for e.
-        evicted: frozenset[Element] = frozenset()
         if per_part[0]:
+            # The cheapest member of each blocked part makes way for e,
+            # which must gain at least twice their weight.
             evicted = frozenset(
                 min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
             )
-        if self._short(gain, evicted):
+            floor = 2.0 * sum(self._weights[x] for x in evicted)
+        else:
+            # [empty set]: e fits as it is, and must gain more than GAIN_TOL.
+            evicted = frozenset()
+            floor = _ABOVE_GAIN_TOL
+        if gain < floor:
             return self._reject(e)
         if bound is not None:
-            gain = self._gain(s, e)
-            if self._sparse(gain, cost) or self._short(gain, evicted):
+            gain = self.oracle.value(s | {e}) - self._value
+            if (cost > 0.0 and gain / cost < rho) or gain < floor:
                 return self._reject(e)
 
         if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):

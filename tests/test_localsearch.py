@@ -1112,17 +1112,20 @@ class TestGainBoundScreen:
         knapsacks = KnapsackSpec(d) if d else None
 
         margins = []
-        gain = IndStreamInstance._gain
+        process = IndStreamInstance.process
+        checker = UnscreenedLogDet(kernel)
 
-        def checked_gain(self, s, e):
-            # Every gain taken on the bound path is at most its bound.
-            got = gain(self, s, e)
-            bound = self.oracle.gain_bound(s, e)
-            if bound is not None:
-                margins.append(bound - got)
-            return got
+        def checked_process(self, e):
+            # Wherever the bound is a number, the gain the step would take,
+            # from a value call on the same ordered set, is at most it.
+            if self._overflow is None:
+                s = self.current_solution()
+                bound = self.oracle.gain_bound(s, e)
+                if bound is not None:
+                    margins.append(bound - (checker.value(s | {e}) - self.value))
+            return process(self, e)
 
-        monkeypatch.setattr(IndStreamInstance, "_gain", checked_gain)
+        monkeypatch.setattr(IndStreamInstance, "process", checked_process)
         calls = {}
         value = LogDetOracle.value
 
