@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, PreconditionError
 from .objectives import Element
@@ -20,6 +20,23 @@ KNAPSACK_SLACK = 1e-12
 
 # An exchange answer: [empty set] (e fits), a set per blocked part, or [].
 Repairs = list[frozenset[Element]]
+
+
+class Solution(frozenset):
+    """An instance's solution from one commit to the next.
+
+    A constraint answering an exchange query on it checks it and lays it
+    out once, and keeps that work in ``layout`` as (constraint, layout)
+    for its later queries; the constraint itself stays unchanged. A copy
+    made with ``frozenset()`` may iterate in another order.
+    """
+
+    __slots__ = ("layout",)
+
+    def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
+        solution = super().__new__(cls, elements)
+        solution.layout = None
+        return solution
 
 
 class IndependenceOracle(ABC):
@@ -33,10 +50,25 @@ class IndependenceOracle(ABC):
 
     def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
         """``exchange_candidates`` for this system, as one part over all of ``s``."""
-        if not self.is_independent(s):
-            raise PreconditionError("the current solution is not independent")
+        self._layout(s)
         found = self._repair(s, e)
         return [] if found is None else [found]
+
+    def _layout(self, s: AbstractSet[Element]) -> Any:
+        """``_build_layout(s)``: once per ``Solution``, on every call otherwise."""
+        if type(s) is not Solution:
+            return self._build_layout(s)
+        kept = s.layout
+        if kept is None or kept[0] is not self:
+            kept = s.layout = (self, self._build_layout(s))
+        return kept[1]
+
+    def _build_layout(self, s: AbstractSet[Element]) -> Any:
+        """What ``exchange`` reads of ``s``, after the precondition that
+        ``s`` is independent; here nothing beyond the check."""
+        if not self.is_independent(s):
+            raise PreconditionError("the current solution is not independent")
+        return None
 
     def _repair(self, s: AbstractSet[Element], e: Element) -> frozenset[Element] | None:
         """∅ if ``e`` fits independent ``s``, else the members making room, or None."""
@@ -68,13 +100,16 @@ class UniformMatroid(IndependenceOracle):
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
         return len(elements) <= self.limit
 
-    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
-        """The base answer from |s| alone, with no independence test."""
+    # The base exchange and repair, answered from |s| alone.
+
+    def _layout(self, s: AbstractSet[Element]) -> None:
         if len(s) > self.limit:
             raise PreconditionError("the current solution is not independent")
+
+    def _repair(self, s: AbstractSet[Element], e: Element) -> frozenset[Element] | None:
         if len(s) < self.limit:
-            return [frozenset()]
-        return [frozenset(s)] if s else []
+            return frozenset()
+        return frozenset(s) or None
 
     @property
     def rank_hint(self) -> int | None:
@@ -170,11 +205,15 @@ class Matchoid(IndependenceOracle):
     def is_independent(self, elements: AbstractSet[Element]) -> bool:
         return self._all_fit(self._members(elements))
 
-    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
-        """Only ``e``'s parts can block; one pass over ``s`` serves them all."""
+    def _build_layout(self, s: AbstractSet[Element]) -> dict[int, frozenset]:
         members = self._members(s)
         if not self._all_fit(members):
             raise PreconditionError("the current solution is not independent")
+        return members
+
+    def exchange(self, s: AbstractSet[Element], e: Element) -> Repairs:
+        """Only ``e``'s parts can block; one layout of ``s`` serves them all."""
+        members = self._layout(s)
         out: Repairs = []
         for i in sorted(self._parts_of(e)):
             found = self._oracles[i]._repair(members.get(i, frozenset()), e)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import IndependenceOracle, KnapsackSpec, exchange_candidates
+from .constraints import IndependenceOracle, KnapsackSpec, Solution, exchange_candidates
 from .errors import PreconditionError
 from .objectives import GAIN_TOL, Element, ValueOracle
 
@@ -55,6 +55,7 @@ class IndStreamInstance:
 
         # Each held element -> its gain when accepted, in acceptance order.
         self._weights: dict[Element, float] = {}
+        self._solution = Solution()
         self._value = oracle.value(frozenset())
         self._overflow: tuple[frozenset[Element], Element] | None = None
 
@@ -65,10 +66,13 @@ class IndStreamInstance:
 
     # -- read-only views ---------------------------------------------------
 
-    def current_solution(self) -> frozenset[Element]:
-        # Through .keys(): a bare dict takes a pre-sized set build whose
-        # table size, and so iteration order, can differ; a log-det
-        # submatrix follows that order to its last bit.
+    def current_solution(self) -> Solution:
+        """The held set: one object from one commit to the next."""
+        return self._solution
+
+    def solution_copy(self) -> frozenset[Element]:
+        """The held set as a plain frozenset that iterates as
+        ``current_solution()`` does, which ``frozenset()`` of it may not."""
         return frozenset(self._weights.keys())
 
     def overflow_record(self) -> tuple[frozenset[Element], Element] | None:
@@ -104,8 +108,12 @@ class IndStreamInstance:
         for x in evicted:
             del self._weights[x]
         self._weights[e] = gain
+        # Through .keys(): a bare dict takes a pre-sized set build whose
+        # table size, and so iteration order, can differ; a log-det
+        # submatrix follows that order to its last bit.
+        self._solution = Solution(self._weights.keys())
         if evicted:
-            self._value = self.oracle.value(self.current_solution())
+            self._value = self.oracle.value(self._solution)
         else:
             self._value += gain
         self.accept_events += 1
@@ -135,7 +143,7 @@ class IndStreamInstance:
             # Cost above a unit capacity: never placeable in any solution.
             return self._reject(e)
 
-        s = self.current_solution()
+        s = self._solution
         bound = self.oracle.gain_bound(s, e)
         gain = self.oracle.value(s | {e}) - self._value if bound is None else bound
         # The density gate. A zero-cost element passes; the swap rule
@@ -171,7 +179,7 @@ class IndStreamInstance:
         if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):
             # Theorem-2 fallback pair: the feasible solution just before
             # the overflow, and the overflowing element itself.
-            self._overflow = (s, e)
+            self._overflow = (self.solution_copy(), e)
             self._note_memory()
             return self._reject(e)
 

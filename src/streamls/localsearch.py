@@ -146,7 +146,8 @@ class ChainState:
     a frozen one rejects each element there, so the batch goes on
     unchanged. The chain skips its instances only when every one is
     frozen, or, in a threshold grid, when the density gate must reject
-    the element at every instance (see ``process``): then it counts the
+    the element at every instance (see ``process``) or the element is
+    above a unit capacity (see ``GridState.process``): then it counts the
     element as processed and discarded by each and dropped, with no
     instance or oracle call. ``held`` is the stored sum of the
     instances' ``held``. It is recounted only after a step that ran the
@@ -184,7 +185,9 @@ class ChainState:
         self._slack = _SCREEN_REL * max(abs(inst.value) for inst in self.instances)
 
     def _pass_through(self) -> None:
-        """Count the element as rejected by every instance and dropped."""
+        """Count the element as processed, rejected by every instance and
+        dropped, with no instance step."""
+        self.processed += 1
         for inst in self.instances:
             inst.processed += 1
             inst.discarded_total += 1
@@ -205,7 +208,6 @@ class ChainState:
         The screen is off once the oracle has clamped, since the bound
         rests on submodularity.
         """
-        self.processed += 1
         if self._all_frozen or (
             gain_cap is not None
             and self.rho * cost > gain_cap + self._slack
@@ -213,6 +215,7 @@ class ChainState:
         ):
             self._pass_through()
             return
+        self.processed += 1
         batch: list[Element] = [e]
         for inst in self.instances:
             discarded: list[Element] = []
@@ -255,7 +258,9 @@ class ChainState:
                     candidates.append((cand, self.oracle.value(cand)))
             for cand, value in candidates:
                 if best is None or value > best.value:
-                    best = Selection(frozenset(cand), value)
+                    # A frozenset() copy of the Solution may reorder it.
+                    plain = inst.solution_copy() if cand is solution else frozenset(cand)
+                    best = Selection(plain, value)
         assert best is not None
         return best
 
@@ -404,21 +409,24 @@ class GridState:
         self.processed += 1
         if self._step_memo is not None:
             self._step_memo.clear()
-        gain_cap = None
-        cost = 0.0
-        if self.knapsacks.singleton_fits(e):
-            # f({e}) sets m, the window and the density screen's bound.
-            value = self._evaluator.value(frozenset({e}))
-            if value > self.m and self.constraint.is_independent(frozenset({e})):
-                self.m = value
-                self.e_m = e
-                # The window depends on m alone, so it moves only here.
-                self._move_window()
-            # For submodular f, e's gain on any set S is at most
-            # f({e}) - f(empty), the lazy bound of accelerated greedy.
-            cost = self.knapsacks.total_cost(e)
-            magnitude = abs(value) + abs(self._empty)
-            gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
+        if not self.knapsacks.singleton_fits(e):
+            # Above a unit capacity: every instance would reject e at its
+            # own step. No chain's held changes, so neither does the peak.
+            for chain in self.runs.values():
+                chain._pass_through()
+            return
+        # f({e}) sets m, the window and the density screen's bound.
+        value = self._evaluator.value(frozenset({e}))
+        if value > self.m and self.constraint.is_independent(frozenset({e})):
+            self.m = value
+            self.e_m = e
+            # The window depends on m alone, so it moves only here.
+            self._move_window()
+        # For submodular f, e's gain on any set S is at most
+        # f({e}) - f(empty), the lazy bound of accelerated greedy.
+        cost = self.knapsacks.total_cost(e)
+        magnitude = abs(value) + abs(self._empty)
+        gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
         held = 0
         for chain in self.runs.values():
             chain.process(e, gain_cap=gain_cap, cost=cost)

@@ -343,7 +343,10 @@ def _parse_constraint(spec: str) -> IndependenceOracle:
             label, _, limit = chunk.partition("=")
             if not label or not limit:
                 raise ConfigError(f"bad partition block {chunk!r}")
-            limits[label.strip()] = int(limit)
+            label = label.strip()
+            if label in limits:
+                raise ConfigError(f"partition block {label!r} is given twice")
+            limits[label] = int(limit)
         return PartitionMatroid(limits)
     if kind == "matchoid":
         parts: list[tuple[IndependenceOracle, frozenset[int] | str]] = []
@@ -353,6 +356,8 @@ def _parse_constraint(spec: str) -> IndependenceOracle:
             if not label or not limit:
                 raise ConfigError(f"bad matchoid part {chunk!r}")
             if label.strip() == "p":
+                if p is not None:
+                    raise ConfigError("matchoid p is given twice")
                 p = int(limit)
                 continue
             parts.append((UniformMatroid(int(limit)), label.strip()))

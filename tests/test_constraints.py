@@ -1,5 +1,6 @@
 """Independence oracles, knapsack feasibility and the swap-repair search."""
 
+import pickle
 import random
 import re
 
@@ -11,14 +12,18 @@ from streamls import (
     ConfigError,
     DomainError,
     Element,
+    IndependenceOracle,
+    IndStreamInstance,
     KnapsackSpec,
     Matchoid,
+    ModularOracle,
     PartitionMatroid,
     PreconditionError,
     PredicateOracle,
     UniformMatroid,
     exchange_candidates,
 )
+from streamls.constraints import Solution
 from streamls.streamio import build_constraint
 
 
@@ -434,3 +439,190 @@ class TestUniformExchange:
         else:
             assert uniform.exchange(s, e) == want
         assert uniform.tests == 0
+
+
+class GenericUniform(UniformMatroid):
+    """A uniform matroid that checks and repairs through the base class's
+    generic search: whole-set tests and one removal at a time."""
+
+    _layout = IndependenceOracle._layout
+    _repair = IndependenceOracle._repair
+
+
+def uniform_parts(parts, part):
+    return [(part(n), g) for n, g in parts]
+
+
+class TestUniformParts:
+    """A uniform part's structural repair inside a partition and a matchoid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partition_cases())
+    def test_partition_parts_match_the_generic_search(self, case):
+        limits, pool, subset = case
+        assume(block_count_independent(limits, subset))
+        partition = PartitionMatroid(limits)
+        generic = PartitionMatroid(limits)
+        generic._oracles = [GenericUniform(part.limit) for part in generic._oracles]
+        partition._oracles = [CountingUniform(part.limit) for part in partition._oracles]
+        touched = len(partition._members(subset))
+        for e in pool:
+            if e not in subset:
+                before = sum(part.tests for part in partition._oracles)
+                assert exchange_candidates(partition, subset, e) == exchange_candidates(
+                    generic, subset, e
+                )
+                # The precondition tests each touched block once; no repair tests.
+                assert sum(part.tests for part in partition._oracles) - before == touched
+
+    @settings(max_examples=400, deadline=None)
+    @given(matchoid_cases())
+    def test_matchoid_parts_match_the_generic_search(self, case):
+        parts, p, pool, subset = case
+        matchoid = Matchoid(uniform_parts(parts, CountingUniform), p=p)
+        generic = Matchoid(uniform_parts(parts, GenericUniform), p=p)
+        for e in pool:
+            if e in subset:
+                continue
+            try:
+                want = exchange_candidates(generic, subset, e)
+            except (DomainError, PreconditionError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    exchange_candidates(matchoid, subset, e)
+                continue
+            touched = len(matchoid._members(subset))
+            before = sum(part.tests for part in matchoid._oracles)
+            assert exchange_candidates(matchoid, subset, e) == want
+            assert sum(part.tests for part in matchoid._oracles) - before == touched
+
+    @pytest.mark.parametrize("limit", [0, 1, 3])
+    def test_structural_repair_matches_the_generic_one(self, limit):
+        e = Element(id=9)
+        for size in range(limit + 1):
+            s = frozenset(Element(id=i) for i in range(size))
+            want = GenericUniform(limit)._repair(s, e)
+            got = UniformMatroid(limit)._repair(s, e)
+            assert got == want and type(got) is type(want)
+
+
+def label_stream(seed, n=160):
+    rng = random.Random(seed)
+    return [
+        Element(id=i, groups=frozenset(rng.sample(LABELS, rng.randint(1, 2))))
+        for i in range(n)
+    ]
+
+
+def answer(constraint, s, e):
+    """exchange_candidates' answer, or the type and text of what it raised."""
+    try:
+        return exchange_candidates(constraint, s, e)
+    except (DomainError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+SEEDED_CONSTRAINTS = [
+    pytest.param(lambda: PartitionMatroid({"a": 2, "b": 1, "c": 3}), id="partition"),
+    pytest.param(lambda: build_constraint("matchoid:a=2;b=1;c=2;p=2"), id="label-matchoid"),
+    pytest.param(lambda: build_constraint("matchoid:a=1;b=2;c=1;p=3"), id="label-matchoid-p3"),
+    pytest.param(lambda: build_constraint("matchoid:a=2;b=1;c=2;p=1"), id="label-matchoid-p1"),
+    pytest.param(lambda: UniformMatroid(4), id="uniform"),
+    pytest.param(
+        lambda: PredicateOracle(lambda s: len(s) <= 3, swap_alpha=0.25), id="predicate"
+    ),
+]
+
+
+class TestSolutionLayout:
+    @pytest.mark.parametrize("make", SEEDED_CONSTRAINTS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_streams_answer_as_plain_sets_do(self, make, seed):
+        constraint = make()
+        weights = random.Random(seed)
+        elements = label_stream(seed)
+        oracle = ModularOracle({e.id: weights.uniform(0.1, 2.0) for e in elements})
+        inst = IndStreamInstance(oracle, constraint)
+        first_uses = reuses = 0
+        for e in elements:
+            s = inst.current_solution()
+            assert type(s) is Solution
+            # A layout kept from an earlier step is reused; a new solution
+            # is laid out by the first call and reused by the second.
+            first_uses += s.layout is None
+            reuses += s.layout is not None
+            want = answer(constraint, frozenset(s), e)
+            assert answer(constraint, s, e) == want
+            assert answer(constraint, s, e) == want
+            if isinstance(want, tuple):
+                with pytest.raises(want[0], match=re.escape(want[1])):
+                    inst.process(e)
+            else:
+                inst.process(e)
+        assert inst.accept_events > 3 and first_uses > 3
+        # A uniform matroid answers from |s| and lays nothing out.
+        assert reuses > 3 or isinstance(constraint, UniformMatroid)
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            PartitionMatroid({"a": 1}),
+            build_constraint("matchoid:a=1;b=1;p=2"),
+            UniformMatroid(1),
+            PredicateOracle(lambda s: len(s) <= 1),
+        ],
+        ids=["partition", "matchoid", "uniform", "predicate"],
+    )
+    def test_a_dependent_solution_raises_on_every_call(self, constraint):
+        s = Solution({labeled(0, "a"), labeled(1, "a", "b")})
+        for _ in range(3):
+            with pytest.raises(PreconditionError):
+                exchange_candidates(constraint, s, labeled(2, "b"))
+        assert s.layout is None
+
+    def test_a_layout_is_read_only_by_the_constraint_that_made_it(self):
+        x = labeled(0, "a")
+        s = Solution({x})
+        by_a = PartitionMatroid({"a": 1})
+        by_b = PartitionMatroid({"b": 1})
+        twin = PartitionMatroid({"a": 1})
+        assert exchange_candidates(by_a, s, labeled(1, "a")) == [frozenset({x})]
+        assert s.layout[0] is by_a
+        # Part 0 of by_b is label b: by_a's layout would put x in it.
+        assert exchange_candidates(by_b, s, labeled(1, "b")) == [frozenset()]
+        assert s.layout[0] is by_b
+        assert exchange_candidates(by_a, s, labeled(2, "b")) == [frozenset()]
+        assert exchange_candidates(twin, s, labeled(1, "a")) == [frozenset({x})]
+        assert s.layout[0] is twin
+
+    def test_an_element_in_too_many_parts_raises_at_its_own_step(self):
+        constraint = build_constraint("matchoid:a=2;b=2;p=1")
+        oracle = ModularOracle({i: 1.0 for i in range(4)})
+        inst = IndStreamInstance(oracle, constraint)
+        inst.process(labeled(0, "a"))
+        inst.process(labeled(1, "b"))
+        s = inst.current_solution()
+        assert exchange_candidates(constraint, s, labeled(3, "a")) == [frozenset()]
+        assert s.layout[0] is constraint
+        for _ in range(2):
+            with pytest.raises(DomainError, match="element 2 lies in 2 parts but p is 1"):
+                inst.process(labeled(2, "a", "b"))
+        assert inst.current_solution() is s
+        assert inst.process(labeled(3, "a")).accepted
+
+    @pytest.mark.parametrize("make", SEEDED_CONSTRAINTS[:5])
+    def test_exchange_leaves_the_constraint_unchanged(self, make):
+        constraint = make()
+        elements = label_stream(4, n=60)
+        oracle = ModularOracle({e.id: 1.0 + e.id % 7 for e in elements})
+        inst = IndStreamInstance(oracle, constraint)
+        before = pickle.dumps(constraint)
+        state = dict(vars(constraint))
+        for e in elements:
+            s = inst.current_solution()
+            answer(constraint, s, e)
+            answer(constraint, frozenset(s), e)
+            if not isinstance(answer(constraint, s, e), tuple):
+                inst.process(e)
+        assert inst.accept_events > 3
+        assert vars(constraint) == state
+        assert pickle.dumps(constraint) == before

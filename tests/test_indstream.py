@@ -19,6 +19,7 @@ from streamls import (
     UniformMatroid,
     brute_opt,
 )
+from streamls.constraints import Solution
 from streamls.verify import random_instance
 
 
@@ -233,3 +234,33 @@ class TestMonotoneGuarantee:
                 inst.process(e)
             opt = brute_opt(oracle, elements, constraint)
             assert oracle.value(inst.current_solution()) >= 0.25 * opt.best_value - 1e-9
+
+
+class TestHeldSolution:
+    @pytest.mark.parametrize(
+        "constraint",
+        [PartitionMatroid({"a": 2, "b": 1}), UniformMatroid(3)],
+        ids=["partition", "uniform"],
+    )
+    def test_one_object_per_commit(self, constraint):
+        rng = random.Random(9)
+        # Weights grow along the stream, so later elements swap in.
+        oracle = ModularOracle({i: 1.03**i * rng.uniform(0.5, 1.5) for i in range(120)})
+        inst = IndStreamInstance(oracle, constraint)
+        swaps = 0
+        for i in range(120):
+            before = inst.current_solution()
+            assert type(before) is Solution
+            outcome = inst.process(Element(id=i, groups=frozenset({rng.choice("ab")})))
+            after = inst.current_solution()
+            assert after is inst.current_solution()
+            if not outcome.accepted:
+                assert after is before
+                continue
+            swaps += bool(outcome.discarded)
+            assert after is not before
+            assert after == inst._weights.keys()
+            # It iterates as a set built from the held keys.
+            assert list(after) == list(inst.solution_copy())
+            assert type(inst.solution_copy()) is frozenset
+        assert swaps > 3

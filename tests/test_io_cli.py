@@ -703,6 +703,8 @@ class TestCli:
                 "csv",
                 "element 1 lies in 2 parts but p is 1",
             ),
+            ("constraint = partition:a=1,a=2", None, "csv", "block 'a' is given twice"),
+            ("constraint = matchoid:a=1;p=2;p=1", None, "csv", "p is given twice"),
             (
                 "",
                 ["id,cost_1,groups", "0,0.2,a", "1,0.1," + "x" * 140_000],
@@ -732,7 +734,8 @@ class TestCli:
             "knapsacks-negative", "eps-tiny",
             "eps-denormal", "capacity-nan",
             "capacity-inf", "config-not-utf8", "csv-not-utf8", "jsonl-not-utf8",
-            "margin-nan", "capacities-no-knapsacks", "matchoid-p", "csv-field-too-long",
+            "margin-nan", "capacities-no-knapsacks", "matchoid-p", "partition-label-twice",
+            "matchoid-p-twice", "csv-field-too-long",
             "jsonl-too-deep", "jsonl-int-too-long", "jsonl-feature-overflow",
         ],
     )

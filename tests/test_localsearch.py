@@ -711,6 +711,60 @@ class TestFrozenPassThrough:
         assert chain.instances[2].current_solution()
 
 
+class TestOverCapacityPassThrough:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["coverage", "logdet"])
+    def test_grid_counts_what_no_instance_could_hold(self, d, kind, monkeypatch):
+        stepped = []
+        process = IndStreamInstance.process
+
+        def spy(self, e):
+            stepped.append(e.id)
+            return process(self, e)
+
+        monkeypatch.setattr(IndStreamInstance, "process", spy)
+        rng = random.Random(f"over-capacity:{d}:{kind}")
+        passed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(8):
+                instance = random_instance(rng, d=d, kinds=(kind,))
+                # Every third element costs more than a unit capacity in one
+                # of its knapsacks, so no instance can ever hold it.
+                elements = []
+                for i, e in enumerate(instance.elements):
+                    if i % 3 == 1:
+                        costs = list(e.costs)
+                        costs[rng.randrange(d)] = rng.uniform(1.01, 3.0)
+                        e = Element(id=e.id, costs=tuple(costs), groups=e.groups)
+                    elements.append(e)
+                options = dict(k=instance.k, eps=0.2)
+                args = (instance.oracle, instance.constraint, instance.knapsacks)
+                session = StreamingSession(*args, **options)
+                reference = ReferenceGrid(*args, **options)
+                for i, e in enumerate(elements):
+                    stepped.clear()
+                    session.push(e)
+                    if not instance.knapsacks.singleton_fits(e):
+                        assert stepped == []
+                        passed += len(session.engine.runs)
+                    reference.process(e)
+                    assert repr(session.engine.stats()) == repr(reference.stats())
+                    assert session.engine.high_water == reference.high_water
+                    for chain in session.engine.runs.values():
+                        assert_conserved(chain)
+                    if i % 4 == 3:
+                        got, want = session.snapshot(), reference.finalize()
+                        assert repr(got.ids) == repr(want.ids)
+                        assert repr(got.value) == repr(want.value)
+                report = session.close()
+                want = reference.finalize()
+                assert repr(report.stats) == repr(reference.stats())
+                assert repr(report.selection.ids) == repr(want.ids)
+                assert repr(report.selection.value) == repr(want.value)
+        assert passed > 0
+
+
 class PairCounter(ValueOracle):
     """Delegates to ``inner`` and counts the evaluations of sets of two or
     more elements: what an instance with a non-empty solution asks when it
