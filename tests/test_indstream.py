@@ -264,3 +264,17 @@ class TestHeldSolution:
             assert list(after) == list(inst.solution_copy())
             assert type(inst.solution_copy()) is frozenset
         assert swaps > 3
+
+    def test_overflow_record_iterates_as_the_solution(self):
+        # Six held elements: a frozenset() copy of a Solution this size
+        # gets a smaller table and may iterate in another order.
+        ids = random.Random(6).sample(range(10**6), 7)
+        inst = IndStreamInstance(
+            ModularOracle({i: 1.0 for i in ids}), UniformMatroid(10), 1e-9, KnapsackSpec(1)
+        )
+        for i in ids:
+            inst.process(costed(i, 0.15))
+        before, last = inst.overflow_record()
+        assert last.id == ids[-1] and len(before) == 6
+        assert type(before) is frozenset
+        assert list(before) == list(inst.current_solution())

@@ -151,6 +151,22 @@ class TestChain:
         after = [i.current_solution() for i in chain.instances]
         assert before == after
 
+    @pytest.mark.parametrize("size", [5, 6, 7, 16, 17])
+    def test_selection_iterates_as_the_solution(self, size):
+        # A frozenset() copy of a Solution this size gets a table of another
+        # size, so it may iterate in another order, and a log-det taken from
+        # the selection (as a segment's conditional value is) follows that
+        # order to its last bit.
+        ids = random.Random(size).sample(range(10**6), size)
+        chain = ChainState(ModularOracle({i: 1.0 for i in ids}), UniformMatroid(size))
+        for i in ids:
+            chain.process(Element(id=i))
+        solution = chain.instances[0].current_solution()
+        # Every candidate is worth size; ties keep the unpruned solution.
+        selection = chain.finalize()
+        assert type(selection.elements) is frozenset
+        assert list(selection.elements) == list(solution)
+
     def test_pruning_strictly_helps_on_cut_instance(self):
         # Frozen search result: stream where an instance ends holding a
         # set whose strict subset cuts more, so the pruned variant wins.
