@@ -18,14 +18,17 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
 from .constraints import IndependenceOracle, KnapsackSpec
 from .errors import ConfigError, DomainError
 from .indstream import IndStreamInstance
 from .objectives import GAIN_TOL, DppKernel, Element, SequentialDppOracle, ValueOracle
 from .objectives import seqdpp_conditional_value
-from .unconstrained import DoubleGreedyConfig, unconstrained_max
+from .unconstrained import DoubleGreedyConfig, unconstrained_max_many
+
+# The one-ground call stays bound here for tools that wrap it by name.
+from .unconstrained import unconstrained_max  # noqa: F401
 
 # Guards ceil() against float noise at exact integer arguments.
 _CEIL_EPS = 1e-9
@@ -43,6 +46,36 @@ _MAX_RUNS = 10_000
 
 # A solution's pruned set and that set's value, keyed by the solution.
 Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
+
+
+def _prune(
+    oracle: ValueOracle,
+    prune: DoubleGreedyConfig,
+    chains: Iterable[ChainState],
+    memo: Memo,
+) -> Memo:
+    """Each live solution of ``chains``, keyed by content, to its pruned
+    set and that set's value, read from ``memo`` when the last finalize
+    pruned an equal solution.
+
+    Double greedy reads only a solution's content, in id order, so a memo
+    entry is what a fresh pass returns, bit for bit. The rest are pruned
+    in one lockstep pass and their cuts evaluated in one ``values`` call.
+    """
+    used: Memo = {}
+    fresh: dict[frozenset[Element], None] = {}
+    for chain in chains:
+        for inst in chain.instances:
+            solution = inst.current_solution()
+            entry = memo.get(solution)
+            if entry is None:
+                fresh[solution] = None
+            else:
+                used[solution] = entry
+    if fresh:
+        cuts = unconstrained_max_many(oracle, fresh, prune)
+        used.update(zip(fresh, zip(cuts, oracle.values(cuts))))
+    return used
 
 
 class _StepMemo(ValueOracle):
@@ -67,6 +100,16 @@ class _StepMemo(ValueOracle):
         if value is None:
             value = self._values[key] = self.oracle.value(items)
         return value
+
+    def values(self, sets: Sequence[Collection[Element]]) -> list[float]:
+        """Each set's value, the misses sent down in one ``values`` call,
+        each distinct one once."""
+        keys = [tuple([e.id for e in s]) for s in sets]
+        known = self._values
+        misses = {key: s for key, s in zip(keys, sets) if key not in known}
+        if misses:
+            known.update(zip(misses, self.oracle.values(list(misses.values()))))
+        return [known[key] for key in keys]
 
     def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
         return self.oracle.gain_bound(s, e)
@@ -227,42 +270,37 @@ class ChainState:
         self.dropped += len(batch)
         self._recount()  # a live instance ran
 
-    def finalize(self, memo: Memo | None = None, used: Memo | None = None) -> Selection:
+    def finalize(self, pruned: Memo | None = None) -> Selection:
         """Best of all instance solutions and their pruned variants.
 
-        The stream may continue afterwards. Each solution's pruned set and
-        its value come from ``memo`` when the last finalize pruned an equal
-        solution: double greedy reads only the solution's content, so the
-        entry is what a fresh call would return, bit for bit. The entries
-        this call uses go into ``used``, which replaces the memo, so a
-        snapshot updates it and must not race another. A standalone chain
-        keeps its own memo; a grid passes the one its runs share. Ties keep
-        the earliest candidate (lowest instance, constrained before pruned).
+        The stream may continue afterwards. ``pruned`` maps each solution
+        to its pruned set and that set's value (see ``_prune``). A
+        standalone chain builds it from its own memo and keeps it as the
+        next one, so a snapshot replaces the memo and must not race
+        another; a grid passes the one it built for all its runs. Ties
+        keep the earliest candidate (lowest instance, constrained before
+        pruned).
         """
-        if used is None:
-            memo, used = self._memo, {}
-            self._memo = used
-        best: Selection | None = None
+        if pruned is None:
+            pruned = self._memo = _prune(self.oracle, self.prune, [self], self._memo)
+        value = self.oracle.value
+        best: tuple[frozenset[Element], float, IndStreamInstance] | None = None
         for inst in self.instances:
             solution = inst.current_solution()
-            pruned = used.get(solution) or memo.get(solution)
-            if pruned is None:
-                cut = unconstrained_max(self.oracle, solution, self.prune)
-                pruned = (cut, self.oracle.value(cut))
-            used[solution] = pruned
-            candidates = [(solution, self.oracle.value(solution)), pruned]
+            candidates = [(solution, value(solution)), pruned[solution]]
             record = inst.overflow_record()
             if record is not None:
                 before, last = record
-                for cand in (before, frozenset({last})):
-                    candidates.append((cand, self.oracle.value(cand)))
-            for cand, value in candidates:
-                if best is None or value > best.value:
-                    # A frozenset() copy of the Solution may reorder it.
-                    plain = inst.solution_copy() if cand is solution else frozenset(cand)
-                    best = Selection(plain, value)
+                alone = frozenset((last,))
+                candidates += ((before, value(before)), (alone, value(alone)))
+            for cand, cand_value in candidates:
+                if best is None or cand_value > best[1]:
+                    best = (cand, cand_value, inst)
         assert best is not None
-        return best
+        cand, cand_value, inst = best
+        # A frozenset() copy of the Solution may reorder it.
+        plain = inst.solution_copy() if cand is inst.current_solution() else frozenset(cand)
+        return Selection(plain, cand_value)
 
     def stats(self) -> dict:
         return {
@@ -347,7 +385,7 @@ class GridState:
         self.high_water = 0
         self.max_active_runs = 0
         self._retired_chain_high_water = 0
-        # Shared by every run's finalize; see ChainState.finalize.
+        # The last finalize's pruned solutions, for all runs; see _prune.
         self._memo: Memo = {}
 
     @property
@@ -437,17 +475,18 @@ class GridState:
         """Best run result versus the best feasible singleton."""
         if self._step_memo is not None:
             self._step_memo.clear()
+        pruned = self._memo = _prune(
+            self._evaluator, self.prune, self.runs.values(), self._memo
+        )
         best: Selection | None = None
-        used: Memo = {}
         for chain in self.runs.values():
-            candidate = chain.finalize(self._memo, used)
+            candidate = chain.finalize(pruned)
             if best is None or candidate.value > best.value:
                 best = candidate
         if self.e_m is not None and (best is None or self.m > best.value):
             best = Selection(frozenset({self.e_m}), self.m)
         if best is None:
             best = Selection(frozenset(), self._empty)
-        self._memo = used
         return best
 
     def stats(self) -> dict:

@@ -14,7 +14,15 @@ import sys
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import (
+    AbstractSet,
+    Callable,
+    Collection,
+    Hashable,
+    Iterable,
+    Mapping,
+    Sequence,
+)
 
 import numpy as np
 
@@ -85,6 +93,16 @@ class ValueOracle(ABC):
     @abstractmethod
     def value(self, elements: Iterable[Element]) -> float:
         """Return f(S). Must be deterministic for a fixed oracle."""
+
+    def values(self, sets: Sequence[Collection[Element]]) -> list[float]:
+        """f of each set, in order: the bits ``value`` returns on each.
+
+        An oracle may answer several sets in one computation; each set is
+        still read in its own iteration order.
+        """
+        # map, not a comprehension: no frame between value and values, so
+        # a clamp warning still names the caller (see _asker_stacklevel).
+        return list(map(self.value, sets))
 
     def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
         """An upper bound on the gain of ``e``, not in ``s``, over ``s``, or None.
@@ -323,8 +341,8 @@ def _logdet_warned(matrix: np.ndarray) -> tuple[float, bool]:
 
     Called from an oracle's ``value()``; the warning names the code that
     asked for the value: an instance step, double greedy or an engine,
-    past every oracle ``value`` that passed the call through (a mixture, a
-    grid's step memo, a subclass calling ``super().value``).
+    past every oracle ``value`` or ``values`` that passed the call through
+    (a mixture, a grid's step memo, a subclass calling ``super().value``).
     """
     value, clamped = _logdet_floored(matrix)
     if clamped:
@@ -338,10 +356,11 @@ def _logdet_warned(matrix: np.ndarray) -> tuple[float, bool]:
 
 def _asker_stacklevel() -> int:
     """``_logdet_warned``'s stacklevel for the first frame, above the
-    oracle ``value`` that called it, that is not an oracle's ``value``."""
+    oracle ``value`` that called it, that is not an oracle's ``value`` or
+    ``values``."""
     # Frames: 0 this function, 1 _logdet_warned, 2 the value at level 2.
     frame, level = sys._getframe(2), 2
-    while frame.f_code.co_name == "value" and isinstance(
+    while frame.f_code.co_name in ("value", "values") and isinstance(
         frame.f_locals.get("self"), ValueOracle
     ):
         frame, level = frame.f_back, level + 1
@@ -382,6 +401,47 @@ class LogDetOracle(ValueOracle):
         if clamped:
             self.clamped = True
         return value + self.kernel.offset
+
+    def values(self, sets: Sequence[Collection[Element]]) -> list[float]:
+        """``value`` of each set, with each group of two or more sets of one
+        size factored in one stacked Cholesky call.
+
+        numpy's stacked ``cholesky`` runs LAPACK's factorization on each
+        member as a single call does, and the log sum reduces each row as
+        ``_logdet_floored`` reduces its diagonal, so every value keeps its
+        last bit. The empty set, a lone set of its size, a group that
+        raises and a member with a pivot under ``DET_FLOOR`` go through
+        ``value``, which clamps and warns as ever. So does every set when
+        ``value`` is not this class's own: an override sees each set.
+        """
+        if type(self).value is not _logdet_value:
+            return super().values(sets)
+        kernel = self.kernel
+        indices = list(map(kernel.indices, sets))
+        by_size: dict[int, list[int]] = {}
+        for i, idx in enumerate(indices):
+            by_size.setdefault(len(idx), []).append(i)
+        found: list[float | None] = [None] * len(indices)
+        for size, members in by_size.items():
+            if size == 0 or len(members) < 2:
+                continue
+            stack = np.array([indices[i] for i in members], dtype=np.intp)
+            try:
+                factors = np.linalg.cholesky(
+                    kernel.matrix[stack[:, :, None], stack[:, None, :]]
+                )
+            except np.linalg.LinAlgError:
+                continue
+            diag = factors.diagonal(axis1=1, axis2=2)
+            fits = (diag * diag >= DET_FLOOR).all(axis=1).tolist()
+            logdets = (2.0 * np.log(diag).sum(axis=1)).tolist()
+            for i, fit, logdet in zip(members, fits, logdets):
+                if fit:
+                    found[i] = logdet + kernel.offset
+        for i, value in enumerate(found):
+            if value is None:
+                found[i] = self.value(sets[i])
+        return found
 
     def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
         """min over x in S of log(L_ee - L_xe^2 / L_xx), log L_ee for an
@@ -441,6 +501,10 @@ class LogDetOracle(ValueOracle):
                 pulled = t
         slack = self._slacks[len(s)] + 8.0 * _U * abs(kernel.offset)
         return math.log(diag[j] - pulled) + slack
+
+
+# What LogDetOracle.values compares a class's value against.
+_logdet_value = LogDetOracle.value
 
 
 def suggest_logdet_offset(matrix: np.ndarray) -> float:

@@ -4,19 +4,27 @@ One forward pass keeps or drops each element by comparing the gain of
 adding it to the kept set against the gain of removing it from the
 remaining set. The deterministic rule guarantees a third of the
 unconstrained optimum; the randomized rule gives half in expectation.
+Passes over several grounds run in lockstep, so that an oracle can
+answer the sets of one step together.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Generator, Iterable
 
 from .errors import ConfigError
 from .objectives import Element, ValueOracle
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
+
+# One double-greedy pass: yields the two sets it needs, is sent their
+# values, and returns its kept set.
+_Pass = Generator[
+    tuple[set[Element], set[Element]], tuple[float, float], frozenset[Element]
+]
 
 
 @dataclass(frozen=True)
@@ -41,21 +49,82 @@ def unconstrained_max(
     ground: Iterable[Element],
     cfg: DoubleGreedyConfig = DoubleGreedyConfig(),
 ) -> frozenset[Element]:
-    """Double greedy over elements in ascending-id order.
+    """Double greedy over ``ground``: ``unconstrained_max_many`` on it alone."""
+    return unconstrained_max_many(oracle, [ground], cfg)[0]
 
-    Running values of both frontier sets are cached, so the oracle is
-    evaluated twice per element plus twice at setup.
+
+def unconstrained_max_many(
+    oracle: ValueOracle,
+    grounds: Iterable[Iterable[Element]],
+    cfg: DoubleGreedyConfig = DoubleGreedyConfig(),
+) -> list[frozenset[Element]]:
+    """Double greedy over each ground, all passes in lockstep.
+
+    At each step every pass still running asks for its next two sets, and
+    all of them go to the oracle in one ``values`` call, which an oracle
+    may answer in batches. A pass builds and reads its sets as it would
+    alone, so each result is the one a pass of its own returns. An oracle
+    that keeps the default ``values`` answers set by set, so there each
+    pass runs alone, with no lockstep to pay for.
+    """
+    if type(oracle).values is ValueOracle.values:
+        return [_run_alone(oracle, ground, cfg) for ground in grounds]
+    passes = [_double_greedy(ground, cfg) for ground in grounds]
+    cuts: list[frozenset[Element]] = [frozenset()] * len(passes)
+    asks = {i: next(p) for i, p in enumerate(passes)}
+    while asks:
+        found = iter(oracle.values([s for pair in asks.values() for s in pair]))
+        running = {}
+        for i, pair in zip(asks, zip(found, found)):
+            try:
+                running[i] = passes[i].send(pair)
+            except StopIteration as done:
+                cuts[i] = done.value
+        asks = running
+    return cuts
+
+
+def _run_alone(
+    oracle: ValueOracle, ground: Iterable[Element], cfg: DoubleGreedyConfig
+) -> frozenset[Element]:
+    """One pass that calls ``value`` itself, so it yields nothing."""
+    try:
+        next(_double_greedy(ground, cfg, oracle.value))
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a pass given a value function yields nothing")
+
+
+def _double_greedy(
+    ground: Iterable[Element],
+    cfg: DoubleGreedyConfig,
+    value: Callable[[set[Element]], float] | None = None,
+) -> _Pass:
+    """One double-greedy pass over ``ground`` in ascending-id order.
+
+    It needs f of both frontier sets at setup, then f(kept + e) and
+    f(remaining - e) for each element e; their running values are cached,
+    so it needs twice as many sets as elements, plus two. Given ``value``
+    it calls it on each set; otherwise it yields each pair of sets and is
+    sent their values.
     """
     order = sorted(set(ground), key=lambda e: e.id)
     rng = random.Random(cfg.seed) if cfg.mode == RANDOMIZED else None
 
     kept: set[Element] = set()
     remaining: set[Element] = set(order)
-    value_kept = oracle.value(kept)
-    value_remaining = oracle.value(remaining)
+    if value is None:
+        value_kept, value_remaining = yield kept, remaining
+    else:
+        value_kept, value_remaining = value(kept), value(remaining)
     for e in order:
-        add_gain = oracle.value(kept | {e}) - value_kept
-        drop_gain = oracle.value(remaining - {e}) - value_remaining
+        add, drop = kept | {e}, remaining - {e}
+        if value is None:
+            value_add, value_drop = yield add, drop
+        else:
+            value_add, value_drop = value(add), value(drop)
+        add_gain = value_add - value_kept
+        drop_gain = value_drop - value_remaining
         if rng is None:
             keep = add_gain >= drop_gain
         else:

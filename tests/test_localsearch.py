@@ -34,9 +34,10 @@ from streamls import (
 )
 import streamls.indstream as indstream
 import streamls.localsearch as localsearch
+import streamls.unconstrained as unconstrained
 from streamls.indstream import IndStreamInstance
 from streamls.objectives import suggest_logdet_offset
-from streamls.unconstrained import unconstrained_max
+from streamls.unconstrained import unconstrained_max, unconstrained_max_many
 from streamls.verify import UnscreenedLogDet, _screen_run, random_instance
 
 
@@ -1064,15 +1065,16 @@ def live_solutions(engine):
 
 
 class PruneSpy:
-    """Counts the double-greedy calls that ``localsearch`` makes."""
+    """Counts the grounds that ``localsearch`` hands double greedy."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        monkeypatch.setattr(localsearch, "unconstrained_max", self)
+        monkeypatch.setattr(localsearch, "unconstrained_max_many", self)
 
-    def __call__(self, *args):
-        self.calls += 1
-        return unconstrained_max(*args)
+    def __call__(self, oracle, grounds, cfg):
+        grounds = list(grounds)
+        self.calls += len(grounds)
+        return unconstrained_max_many(oracle, grounds, cfg)
 
 
 class TestPruningMemo:
@@ -1237,3 +1239,27 @@ class TestClampWarningSite:
         assert oracle.clamped
         sites = {w.filename for w in caught if w.category is RuntimeWarning}
         assert sites == {indstream.__file__}
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_a_clamp_first_reached_at_close_names_double_greedy(self, d):
+        # Every element is kept on a diagonal kernel. Swapping in one where
+        # 0 and 1 are twins makes the close's first ask, f of a whole
+        # solution, the first set that clamps; it reaches the oracle through
+        # the lockstep's values calls (and a grid's step memo).
+        oracle = LogDetOracle(DppKernel(np.diag([4.0, 4.0, 2.0])))
+        session = StreamingSession(
+            oracle, UniformMatroid(3), KnapsackSpec(d) if d else None, k=3
+        )
+        for i in range(3):
+            session.push(Element(id=i, costs=(0.2,) * d))
+        assert not oracle.clamped
+        twins = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
+        oracle.kernel = DppKernel(twins)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            session.close()
+        assert oracle.clamped
+        sites = [w.filename for w in caught if w.category is RuntimeWarning]
+        assert sites[0] == unconstrained.__file__
+        # The rest name double greedy or the candidate loop, never an oracle.
+        assert set(sites) <= {unconstrained.__file__, localsearch.__file__}

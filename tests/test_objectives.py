@@ -5,6 +5,7 @@ log-det path and a submodularity spot check."""
 import math
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,134 @@ class TestLogDetBitIdentity:
 
         check()
         assert {"cholesky", "clamped"} <= branches
+
+
+@st.composite
+def stacked_cases(draw):
+    """A PSD kernel (full rank, rank deficient, integer or with duplicated
+    rows) and sets over it as element tuples, many of one size, some
+    repeating an element, so that stacks hold singular members."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("full", "deficient", "integer", "duplicated")))
+    if kind == "full":
+        factors = rng.normal(size=(n, n))
+        matrix = factors @ factors.T + draw(st.sampled_from((1e-6, 0.1, 2.0))) * np.eye(n)
+    elif kind == "deficient":
+        factors = rng.normal(size=(n, draw(st.integers(1, n))))
+        matrix = factors @ factors.T
+    elif kind == "integer":
+        factors = rng.integers(-2, 3, size=(n, draw(st.integers(0, n)))).astype(float)
+        matrix = factors @ factors.T
+    else:
+        base = rng.normal(size=(n, n))
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        matrix = (base @ base.T + 0.5 * np.eye(n))[np.ix_(rows, rows)]
+    sizes = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=3))
+    index_lists = draw(
+        st.lists(
+            st.sampled_from(sizes).flatmap(
+                lambda k: st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+            ),
+            max_size=12,
+        )
+    )
+    sets = [tuple(Element(id=i) for i in idx) for idx in index_lists]
+    return 0.5 * (matrix + matrix.T), draw(st.sampled_from((0.0, 3.5))), sets
+
+
+def _evaluated(oracle, evaluate):
+    """What ``evaluate`` returns as a repr, the clamp flag it leaves, and
+    how many clamp warnings it raised."""
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = repr(evaluate(oracle))
+    return result, oracle.clamped, sum(w.category is RuntimeWarning for w in caught)
+
+
+class TestStackedLogDet:
+    """``LogDetOracle.values`` factors equal-size sets in one stacked
+    Cholesky call; every value must keep the bits ``value`` gives it."""
+
+    @pytest.mark.parametrize("kind", ["rbf", "spread"])
+    def test_stacked_factor_is_bit_equal_to_the_single_call(self, kind):
+        rng = np.random.default_rng(21)
+        n = 64
+        if kind == "rbf":
+            x = rng.normal(size=(n, 5))
+            matrix = 4.0 * np.exp(-((x[:, None] - x[None]) ** 2).sum(-1) / 10.0)
+            matrix += 0.05 * np.eye(n)
+        else:
+            matrix = _spectrum_kernel(21, n, 1e-6, 50.0)
+        for order in range(1, 41):
+            idx = np.array([rng.permutation(n)[:order] for _ in range(7)])
+            stack = matrix[idx[:, :, None], idx[:, None, :]]
+            factors = np.linalg.cholesky(stack)
+            diag = factors.diagonal(axis1=1, axis2=2)
+            sums = (2.0 * np.log(diag).sum(axis=1)).tolist()
+            for row, factor, logdet in zip(idx, factors, sums):
+                # The submatrix exactly as ``value`` takes it.
+                member = _principal(matrix, row.tolist())
+                single = np.linalg.cholesky(member)
+                assert factor.tobytes() == single.tobytes(), order
+                assert repr((logdet, False)) == repr(_logdet_floored(member)), order
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_cases())
+    def test_values_match_value_per_set(self, case):
+        matrix, offset, sets = case
+        kernel = DppKernel(matrix, offset=offset)
+        want = _evaluated(LogDetOracle(kernel), lambda o: [o.value(s) for s in sets])
+        assert _evaluated(LogDetOracle(kernel), lambda o: o.values(sets)) == want
+
+    def test_a_failed_stack_and_a_floored_member_go_through_value(self, monkeypatch):
+        # 0 and 1 are twins, so {0, 1} is singular and its stack raises;
+        # L_22 = 1e-302 factors, but its square root squared is under
+        # DET_FLOOR, so {2} and {2, 3, 4} leave their stacks.
+        matrix = np.diag([1.0, 1.0, 1e-302, 2.0, 3.0, 4.0])
+        matrix[0, 1] = matrix[1, 0] = 1.0
+        matrix[3, 4] = matrix[4, 3] = 0.5
+        kernel = DppKernel(matrix, offset=1.0)
+        sets = [
+            (),
+            tuple(elems(5)),
+            tuple(elems(0, 1)),
+            tuple(elems(3, 4)),
+            tuple(elems(4, 5)),
+            tuple(elems(2)),
+            tuple(elems(3)),
+            tuple(elems(4)),
+            tuple(elems(2, 3, 4)),
+            tuple(elems(3, 4, 5)),
+            tuple(elems(1, 3, 4, 5)),
+        ]
+        want = _evaluated(LogDetOracle(kernel), lambda o: [o.value(s) for s in sets])
+        singles = []
+        floored = objectives._logdet_floored
+        monkeypatch.setattr(
+            objectives, "_logdet_floored", lambda m: singles.append(len(m)) or floored(m)
+        )
+        got = _evaluated(LogDetOracle(kernel), lambda o: o.values(sets))
+        assert got == want
+        assert got[1:] == (True, 3)
+        # The empty set and {1, 3, 4, 5}, alone of their sizes, the raised
+        # size-2 stack and the two floored members; {5}, {3}, {4} and
+        # {3, 4, 5} stacked.
+        assert sorted(singles) == [0, 1, 2, 2, 2, 3, 4]
+
+    def test_an_override_of_value_sees_every_set(self):
+        class Counting(LogDetOracle):
+            def value(self, elements):
+                seen.append(tuple(e.id for e in elements))
+                return super().value(elements)
+
+        seen = []
+        kernel = DppKernel(_spectrum_kernel(4, 12, 0.1, 10.0))
+        sets = [tuple(elems(*ids)) for ids in ((0, 1), (2, 3), (4, 5, 6), (7, 8, 9), ())]
+        got = Counting(kernel).values(sets)
+        assert seen == [tuple(e.id for e in s) for s in sets]
+        assert repr(got) == repr(LogDetOracle(kernel).values(sets))
+        assert repr(got) == repr([LogDetOracle(kernel).value(s) for s in sets])
 
 
 class TestLogDetNanPivot:

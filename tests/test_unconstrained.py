@@ -1,23 +1,33 @@
-"""Double-greedy behavior and its approximation factors."""
+"""Double-greedy behavior, its approximation factors, and the lockstep
+passes against the sequential pass they replaced."""
 
 import math
 import random
+import warnings
+from typing import Iterable
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamls import (
     ConfigError,
+    CoverageOracle,
     CutOracle,
     DoubleGreedyConfig,
+    DppKernel,
     Element,
+    LogDetOracle,
     ModularOracle,
     StreamingSession,
     brute_opt,
     unconstrained_max,
 )
+from streamls.localsearch import _StepMemo
 from streamls.objectives import ValueOracle
-from streamls.verify import random_instance
+from streamls.unconstrained import RANDOMIZED, unconstrained_max_many
+from streamls.verify import _near_singular_kernel, random_instance
 
 
 class CountingOracle(ValueOracle):
@@ -126,3 +136,161 @@ class TestDoubleGreedy:
     def test_beta_matches_mode(self):
         assert DoubleGreedyConfig().beta == pytest.approx(1.0 / 3.0)
         assert DoubleGreedyConfig(mode="randomized").beta == 0.5
+
+
+def _sequential_unconstrained_max(
+    oracle: ValueOracle,
+    ground: Iterable[Element],
+    cfg: DoubleGreedyConfig = DoubleGreedyConfig(),
+) -> frozenset[Element]:
+    """The one-ground double greedy as it read before the lockstep passes.
+
+    Kept verbatim: ``TestLockstep`` holds every lockstep pass to it, by
+    iteration order and value.
+    """
+    order = sorted(set(ground), key=lambda e: e.id)
+    rng = random.Random(cfg.seed) if cfg.mode == RANDOMIZED else None
+
+    kept: set[Element] = set()
+    remaining: set[Element] = set(order)
+    value_kept = oracle.value(kept)
+    value_remaining = oracle.value(remaining)
+    for e in order:
+        add_gain = oracle.value(kept | {e}) - value_kept
+        drop_gain = oracle.value(remaining - {e}) - value_remaining
+        if rng is None:
+            keep = add_gain >= drop_gain
+        else:
+            a = max(add_gain, 0.0)
+            b = max(drop_gain, 0.0)
+            if a + b <= 0.0:
+                keep = add_gain >= drop_gain
+            else:
+                keep = rng.random() < a / (a + b)
+        if keep:
+            kept.add(e)
+            value_kept += add_gain
+        else:
+            remaining.discard(e)
+            value_remaining += drop_gain
+    return frozenset(kept)
+
+
+KINDS = ("full-rank", "near-singular", "clamping", "duplicated", "coverage", "cut")
+
+
+def _oracle_maker(kind: str, n: int, seed: int):
+    """A fresh-oracle factory over ids 0..n-1, so each side clamps alone."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    if kind == "coverage":
+        covers = {
+            i: {rng.randrange(2 * n) for _ in range(rng.randint(0, 4))} for i in range(n)
+        }
+        return lambda: CoverageOracle(covers)
+    if kind == "cut":
+        edges = [
+            (i, j, rng.choice((0.5, 1.0, rng.random())))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.4
+        ]
+        return lambda: CutOracle(edges, nodes=range(n))
+    if kind == "full-rank":
+        x = nprng.normal(size=(n, 4))
+        matrix = 3.0 * np.exp(-((x[:, None] - x[None]) ** 2).sum(-1) / 6.0)
+        matrix += 0.3 * np.eye(n)
+    elif kind == "near-singular":
+        matrix = _near_singular_kernel(rng, n)
+    elif kind == "clamping":
+        # Rank 2 with twins 0 and 1: exact zero pivots, so DET_FLOOR clamps.
+        factors = nprng.integers(-1, 2, size=(n, 2)).astype(float)
+        factors[0] = factors[min(1, n - 1)] = (1.0, 0.0)
+        matrix = factors @ factors.T
+    else:
+        base = nprng.normal(size=(n, n))
+        rows = [rng.randrange(n) for _ in range(n)]
+        matrix = (base @ base.T + 0.5 * np.eye(n))[np.ix_(rows, rows)]
+    kernel = DppKernel(0.5 * (matrix + matrix.T), offset=rng.choice((0.0, 2.5, 40.0)))
+    return lambda: LogDetOracle(kernel)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """An oracle factory, a batch of grounds and a double-greedy config.
+
+    Grounds mix sizes from empty up, overlap, repeat an element inside one
+    ground, repeat whole grounds, and come as lists and frozensets."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 12))
+    make = _oracle_maker(kind, n, draw(st.integers(0, 2**32 - 1)))
+    elements = [Element(id=i) for i in range(n)]
+    member = st.sampled_from(elements)
+    grounds = []
+    for _ in range(draw(st.integers(0, 7))):
+        if grounds and draw(st.booleans()):
+            grounds.append(draw(st.sampled_from(grounds)))
+        else:
+            ground = draw(st.lists(member, max_size=n + 2))
+            grounds.append(frozenset(ground) if draw(st.booleans()) else ground)
+    if draw(st.booleans()):
+        cfg = DoubleGreedyConfig()
+    else:
+        cfg = DoubleGreedyConfig(mode="randomized", seed=draw(st.integers(0, 99)))
+    return kind, make, grounds, cfg, draw(st.booleans())
+
+
+def _clamp_warnings(caught) -> int:
+    return sum("clamped" in str(w.message) for w in caught)
+
+
+class TestLockstep:
+    @settings(max_examples=300, deadline=None)
+    @given(lockstep_cases())
+    @example(("coverage", lambda: CoverageOracle({}), [], DoubleGreedyConfig(), False))
+    def test_lockstep_matches_the_sequential_pass(self, case):
+        kind, make, grounds, cfg, memoized = case
+        inner_ref, inner = make(), make()
+        # A grid's close asks through its step memo; a chain asks the oracle.
+        use_memo = memoized and inner.memoized
+        ref_oracle = _StepMemo(inner_ref) if use_memo else inner_ref
+        oracle = _StepMemo(inner) if use_memo else inner
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as ref_caught:
+            warnings.simplefilter("always")
+            want = [_sequential_unconstrained_max(ref_oracle, g, cfg) for g in grounds]
+            want_values = [ref_oracle.value(cut) for cut in want]
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = unconstrained_max_many(oracle, grounds, cfg)
+            got_values = oracle.values(got)
+        assert [repr(tuple(cut)) for cut in got] == [repr(tuple(cut)) for cut in want]
+        assert repr(got_values) == repr(want_values)
+        assert inner.clamped == inner_ref.clamped
+        assert _clamp_warnings(caught) == _clamp_warnings(ref_caught)
+        twins = {Element(id=0), Element(id=1)}
+        if kind == "clamping" and any(twins <= set(g) for g in grounds):
+            # Each pass first asks for its whole ground.
+            assert inner.clamped
+
+    def test_one_ground_is_the_lockstep_call(self):
+        oracle = _oracle_maker("full-rank", 9, 5)()
+        ground = [Element(id=i) for i in (4, 0, 7, 2, 8, 1)]
+        for cfg in (DoubleGreedyConfig(), DoubleGreedyConfig(mode="randomized", seed=3)):
+            cut = unconstrained_max(oracle, ground, cfg)
+            want = _sequential_unconstrained_max(oracle, ground, cfg)
+            assert repr(tuple(cut)) == repr(tuple(want))
+            assert [cut] == unconstrained_max_many(oracle, [ground], cfg)
+
+    def test_a_batching_oracle_gets_one_call_per_step(self):
+        class Recorder(LogDetOracle):
+            def values(self, sets):
+                calls.append(len(sets))
+                return super().values(sets)
+
+        calls = []
+        kernel = _oracle_maker("full-rank", 8, 9)().kernel
+        grounds = [[Element(id=i) for i in range(size)] for size in (5, 3, 0)]
+        unconstrained_max_many(Recorder(kernel), grounds, DoubleGreedyConfig())
+        # Setup asks for both frontier sets of every pass, then each step
+        # for two sets of every pass still running.
+        assert calls == [6, 4, 4, 4, 2, 2]
