@@ -27,7 +27,10 @@ from .objectives import GAIN_TOL, DppKernel, Element, SequentialDppOracle, Value
 from .objectives import seqdpp_conditional_value
 from .unconstrained import DoubleGreedyConfig, unconstrained_max_many
 
-# The one-ground call stays bound here for tools that wrap it by name.
+# Nothing here calls the one-ground pass any more; the name stays bound
+# only for tools that wrap it by name. A wrapper on it therefore sees no
+# call, and a span timed through it reads 0: the close runs
+# unconstrained_max_many.
 from .unconstrained import unconstrained_max  # noqa: F401
 
 # Guards ceil() against float noise at exact integer arguments.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Generator, Iterable, Sequence
 
 from .errors import ConfigError
 from .objectives import Element, ValueOracle
@@ -23,7 +23,7 @@ RANDOMIZED = "randomized"
 # One double-greedy pass: yields the two sets it needs, is sent their
 # values, and returns its kept set.
 _Pass = Generator[
-    tuple[set[Element], set[Element]], tuple[float, float], frozenset[Element]
+    tuple[set[Element], set[Element]], Sequence[float], frozenset[Element]
 ]
 
 
@@ -63,66 +63,43 @@ def unconstrained_max_many(
     At each step every pass still running asks for its next two sets, and
     all of them go to the oracle in one ``values`` call, which an oracle
     may answer in batches. A pass builds and reads its sets as it would
-    alone, so each result is the one a pass of its own returns. An oracle
-    that keeps the default ``values`` answers set by set, so there each
-    pass runs alone, with no lockstep to pay for.
+    alone, so each result is the one a pass of its own returns.
     """
-    if type(oracle).values is ValueOracle.values:
-        return [_run_alone(oracle, ground, cfg) for ground in grounds]
     passes = [_double_greedy(ground, cfg) for ground in grounds]
     cuts: list[frozenset[Element]] = [frozenset()] * len(passes)
-    asks = {i: next(p) for i, p in enumerate(passes)}
-    while asks:
-        found = iter(oracle.values([s for pair in asks.values() for s in pair]))
-        running = {}
-        for i, pair in zip(asks, zip(found, found)):
+    running = list(range(len(passes)))
+    sets = [s for p in passes for s in next(p)]
+    while running:
+        found = oracle.values(sets)
+        sets, still = [], []
+        for k, i in enumerate(running):
             try:
-                running[i] = passes[i].send(pair)
+                # The k-th pass still running asked for sets 2k and 2k + 1.
+                sets += passes[i].send(found[2 * k : 2 * k + 2])
             except StopIteration as done:
                 cuts[i] = done.value
-        asks = running
+            else:
+                still.append(i)
+        running = still
     return cuts
 
 
-def _run_alone(
-    oracle: ValueOracle, ground: Iterable[Element], cfg: DoubleGreedyConfig
-) -> frozenset[Element]:
-    """One pass that calls ``value`` itself, so it yields nothing."""
-    try:
-        next(_double_greedy(ground, cfg, oracle.value))
-    except StopIteration as done:
-        return done.value
-    raise AssertionError("a pass given a value function yields nothing")
-
-
-def _double_greedy(
-    ground: Iterable[Element],
-    cfg: DoubleGreedyConfig,
-    value: Callable[[set[Element]], float] | None = None,
-) -> _Pass:
+def _double_greedy(ground: Iterable[Element], cfg: DoubleGreedyConfig) -> _Pass:
     """One double-greedy pass over ``ground`` in ascending-id order.
 
     It needs f of both frontier sets at setup, then f(kept + e) and
     f(remaining - e) for each element e; their running values are cached,
-    so it needs twice as many sets as elements, plus two. Given ``value``
-    it calls it on each set; otherwise it yields each pair of sets and is
-    sent their values.
+    so it needs twice as many sets as elements, plus two. It yields each
+    pair of sets and is sent their values.
     """
     order = sorted(set(ground), key=lambda e: e.id)
     rng = random.Random(cfg.seed) if cfg.mode == RANDOMIZED else None
 
     kept: set[Element] = set()
     remaining: set[Element] = set(order)
-    if value is None:
-        value_kept, value_remaining = yield kept, remaining
-    else:
-        value_kept, value_remaining = value(kept), value(remaining)
+    value_kept, value_remaining = yield kept, remaining
     for e in order:
-        add, drop = kept | {e}, remaining - {e}
-        if value is None:
-            value_add, value_drop = yield add, drop
-        else:
-            value_add, value_drop = value(add), value(drop)
+        value_add, value_drop = yield kept | {e}, remaining - {e}
         add_gain = value_add - value_kept
         drop_gain = value_drop - value_remaining
         if rng is None:
