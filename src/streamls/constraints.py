@@ -27,15 +27,27 @@ class Solution(frozenset):
 
     A constraint answering an exchange query on it checks it and lays it
     out once, and keeps that work in ``layout`` as (constraint, layout)
-    for its later queries; the constraint itself stays unchanged. A copy
+    for its later queries; the constraint itself stays unchanged. An
+    oracle's gain bound keeps its vector over the solution in ``bound``
+    the same way, as (oracle, vector), or finds there (oracle, the
+    predecessor's vector, the element added) left by ``grown``. A copy
     made with ``frozenset()`` may iterate in another order.
     """
 
-    __slots__ = ("layout",)
+    __slots__ = ("layout", "bound")
 
     def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
         solution = super().__new__(cls, elements)
-        solution.layout = None
+        solution.layout = solution.bound = None
+        return solution
+
+    def grown(self, elements: Iterable[Element], e: Element) -> Solution:
+        """``elements``, this set plus ``e``, as a Solution that keeps this
+        one's bound vector and ``e`` to grow it from, but not this one."""
+        solution = Solution(elements)
+        kept = self.bound
+        if kept is not None and len(kept) == 2:
+            solution.bound = (*kept, e)
         return solution
 
 

@@ -111,7 +111,8 @@ class IndStreamInstance:
         # Through .keys(): a bare dict takes a pre-sized set build whose
         # table size, and so iteration order, can differ; a log-det
         # submatrix follows that order to its last bit.
-        self._solution = Solution(self._weights.keys())
+        held = self._weights.keys()
+        self._solution = Solution(held) if evicted else self._solution.grown(held, e)
         if evicted:
             self._value = self.oracle.value(self._solution)
         else:

@@ -264,12 +264,20 @@ class DppKernel:
         try:
             return [index[e.id] for e in elements]
         except KeyError as exc:
-            raise DomainError(
-                f"element {exc.args[0]} is not indexed by the kernel"
-            ) from None
+            raise _not_indexed(exc.args[0]) from None
+
+    def index(self, e: Element) -> int:
+        try:
+            return self._index[e.id]
+        except KeyError:
+            raise _not_indexed(e.id) from None
 
     def submatrix(self, elements: Iterable[Element]) -> np.ndarray:
         return _principal(self.matrix, self.indices(elements))
+
+
+def _not_indexed(eid: int) -> DomainError:
+    return DomainError(f"element {eid} is not indexed by the kernel")
 
 
 def _principal(matrix: np.ndarray, idx: Sequence[int]) -> np.ndarray:
@@ -488,19 +496,46 @@ class LogDetOracle(ValueOracle):
         if len(s) >= len(self._slacks):
             return None
         kernel = self.kernel
-        idx = kernel.indices((*s, e))
-        j = idx.pop()
-        row, diag = kernel.matrix[j], self._diag
-        # Python floats, the same roundings as numpy's, cost less on a set
-        # this small.
-        pulled = 0.0
-        for i in idx:
-            r = row.item(i)
-            t = r * r / diag[i]
-            if t > pulled:
-                pulled = t
+        pulled = self._pulled(s)
+        j = kernel.index(e)
         slack = self._slacks[len(s)] + 8.0 * _U * abs(kernel.offset)
-        return math.log(diag[j] - pulled) + slack
+        return math.log(self._diag[j] - pulled.item(j)) + slack
+
+    def _pulled(self, s: AbstractSet[Element]) -> np.ndarray:
+        """v_S: entry i is the max over x in S of L_xi * L_xi / L_xx, 0.0 for
+        an empty S, so ``gain_bound`` reads e's max pairwise pull as v_S[e].
+
+        The kernel is exactly symmetric and max is exact, so each entry has
+        the bits of a loop over S. A ``Solution`` keeps v_S as (self, v_S)
+        till its next commit, and one ``grown`` from a solution holding it
+        grows it by its added element; any other set gets it afresh.
+        """
+        try:
+            kept = s.bound
+        except AttributeError:  # not a Solution
+            return self._pulled_afresh(s)
+        if kept is not None and kept[0] is self:
+            if len(kept) == 2:
+                return kept[1]
+            x = self.kernel.index(kept[2])
+            row = self.kernel.matrix[x]
+            pulled = row * row
+            pulled /= self._diag[x]
+            np.maximum(kept[1], pulled, out=pulled)
+        else:
+            pulled = self._pulled_afresh(s)
+        s.bound = (self, pulled)
+        return pulled
+
+    def _pulled_afresh(self, s: AbstractSet[Element]) -> np.ndarray:
+        matrix = self.kernel.matrix
+        idx = self.kernel.indices(s)
+        if not idx:
+            return np.zeros(matrix.shape[0])
+        rows = matrix.take(idx, 0)
+        rows *= rows
+        rows /= matrix.diagonal().take(idx)[:, None]
+        return rows.max(axis=0)
 
 
 # What LogDetOracle.values compares a class's value against.
