@@ -503,39 +503,37 @@ class LogDetOracle(ValueOracle):
 
     def _pulled(self, s: AbstractSet[Element]) -> np.ndarray:
         """v_S: entry i is the max over x in S of L_xi * L_xi / L_xx, 0.0 for
-        an empty S, so ``gain_bound`` reads e's max pairwise pull as v_S[e].
+        an empty S, so ``gain_bound`` reads e's largest pairwise pull as
+        v_S[e]. The kernel is exactly symmetric and max is exact, so each
+        entry has the bits of a loop over S.
 
-        The kernel is exactly symmetric and max is exact, so each entry has
-        the bits of a loop over S. A ``Solution`` keeps v_S as (self, v_S)
-        till its next commit, and one ``grown`` from a solution holding it
-        grows it by its added element; any other set gets it afresh.
+        A ``Solution`` keeps v_S as (self, v_S) till its next commit, and
+        one ``grown`` from a solution holding it grows it by the added
+        element's row; any other set gets it afresh from S's rows.
         """
-        try:
-            kept = s.bound
-        except AttributeError:  # not a Solution
-            return self._pulled_afresh(s)
+        kernel = self.kernel
+        kept = getattr(s, "bound", None)
         if kept is not None and kept[0] is self:
             if len(kept) == 2:
                 return kept[1]
-            x = self.kernel.index(kept[2])
-            row = self.kernel.matrix[x]
-            pulled = row * row
+            x = kernel.index(kept[2])
+            pulled = kernel.matrix[x] * kernel.matrix[x]
             pulled /= self._diag[x]
             np.maximum(kept[1], pulled, out=pulled)
         else:
-            pulled = self._pulled_afresh(s)
-        s.bound = (self, pulled)
+            idx = kernel.indices(s)
+            if not idx:
+                pulled = np.zeros(len(self._diag))
+            else:
+                rows = kernel.matrix.take(idx, 0)
+                rows *= rows
+                rows /= kernel.matrix.diagonal().take(idx)[:, None]
+                pulled = rows.max(axis=0)
+        try:
+            s.bound = (self, pulled)
+        except AttributeError:  # not a Solution: nothing is kept
+            pass
         return pulled
-
-    def _pulled_afresh(self, s: AbstractSet[Element]) -> np.ndarray:
-        matrix = self.kernel.matrix
-        idx = self.kernel.indices(s)
-        if not idx:
-            return np.zeros(matrix.shape[0])
-        rows = matrix.take(idx, 0)
-        rows *= rows
-        rows /= matrix.diagonal().take(idx)[:, None]
-        return rows.max(axis=0)
 
 
 # What LogDetOracle.values compares a class's value against.
