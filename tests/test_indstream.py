@@ -2,15 +2,19 @@
 overflow freezing and the bookkeeping invariants the chain relies on."""
 
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from streamls import (
     CoverageOracle,
     CutOracle,
+    DppKernel,
     Element,
     IndStreamInstance,
     KnapsackSpec,
+    LogDetOracle,
     Matchoid,
     ModularOracle,
     PartitionMatroid,
@@ -264,6 +268,48 @@ class TestHeldSolution:
             assert list(after) == list(inst.solution_copy())
             assert type(inst.solution_copy()) is frozenset
         assert swaps > 3
+
+    def test_a_commit_lets_the_prior_solution_go(self):
+        # A log-det oracle keeps a bound vector on each solution; the next
+        # solution may keep that vector, but never the solution itself.
+        factors = np.random.default_rng(4).normal(size=(60, 3))
+        # Rows scaled up along the stream, so later elements swap in.
+        scale = np.sqrt(1.1 ** np.arange(60))
+        matrix = (factors @ factors.T + 0.5 * np.eye(60)) * np.outer(scale, scale)
+        oracle = LogDetOracle(DppKernel(0.5 * (matrix + matrix.T)))
+        inst = IndStreamInstance(oracle, UniformMatroid(4))
+        appends = swaps = 0
+        for i in range(60):
+            before = weakref.ref(inst.current_solution())
+            outcome = inst.process(Element(id=i))
+            s = inst.current_solution()
+            assert before() is s or before() is None
+            if s is before():
+                continue
+            appends += not outcome.discarded
+            swaps += bool(outcome.discarded)
+            # None after a swap; (oracle, vector, element) after an append
+            # from a solution the bound read; (oracle, vector) once read.
+            assert s.bound is None or s.bound[:2] == (oracle, s.bound[1])
+            if s.bound is not None:
+                assert type(s.bound[1]) is np.ndarray and s.bound[1].shape == (60,)
+                assert len(s.bound) == 2 or type(s.bound[2]) is Element
+            assert (s.bound is None) == bool(outcome.discarded)
+            # The next step's bound replaces the record with one vector.
+            oracle.gain_bound(s, next(e for e in map(Element, range(60)) if e not in s))
+            assert len(s.bound) == 2
+        assert appends > 3 and swaps > 3
+
+    def test_an_unread_record_is_dropped_at_the_next_commit(self):
+        kernel = DppKernel(np.eye(4) + 0.5)
+        oracle = LogDetOracle(kernel)
+        x, y, z = (Element(id=i) for i in range(3))
+        first = Solution([x])
+        oracle.gain_bound(first, z)
+        second = first.grown([x, y], y)
+        assert second.bound[0] is oracle and second.bound[2] is y
+        # No bound read second: third keeps nothing of it.
+        assert second.grown([x, y, z], z).bound is None
 
     def test_overflow_record_iterates_as_the_solution(self):
         # Six held elements: a frozenset() copy of a Solution this size

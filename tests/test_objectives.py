@@ -20,10 +20,12 @@ from streamls import (
     DomainError,
     DppKernel,
     Element,
+    IndStreamInstance,
     LogDetOracle,
     ModularOracle,
     PreconditionError,
     SequentialDppOracle,
+    UniformMatroid,
     WeightedSumOracle,
     load_kernel,
     reservoir_sample,
@@ -32,6 +34,7 @@ from streamls import (
     suggest_logdet_offset,
 )
 from streamls import objectives
+from streamls.constraints import Solution
 from streamls.objectives import DET_FLOOR, ValueOracle, _logdet_floored, _principal
 
 
@@ -859,20 +862,21 @@ def _bound_cases(seed, n, draws):
         yield elems(*ids[1:]), Element(id=ids[0])
 
 
+# (lowest eigenvalue, highest, offset) of the kernels the bound is tested on.
+SPECTRA = [
+    (0.1, 10.0, 0.0),
+    (0.25, 800.0, 20.0),
+    (1e-3, 1e3, 1e6),
+    (0.1, 10.0, 1e15),
+    (1e-13, 1.0, 0.0),  # the certificate's edge in |S|
+    (1e-12, 5.0, 1e9),
+    (3e-150, 1e-147, 0.0),  # near the certified range's floor
+    (1e147, 1e149, 0.0),  # near its ceiling
+]
+
+
 class TestGainBound:
-    @pytest.mark.parametrize(
-        "low, high, offset",
-        [
-            (0.1, 10.0, 0.0),
-            (0.25, 800.0, 20.0),
-            (1e-3, 1e3, 1e6),
-            (0.1, 10.0, 1e15),
-            (1e-13, 1.0, 0.0),  # the certificate's edge in |S|
-            (1e-12, 5.0, 1e9),
-            (3e-150, 1e-147, 0.0),  # near the certified range's floor
-            (1e147, 1e149, 0.0),  # near its ceiling
-        ],
-    )
+    @pytest.mark.parametrize("low, high, offset", SPECTRA)
     def test_bound_is_at_least_the_gain(self, low, high, offset):
         n = 12
         oracle = LogDetOracle(DppKernel(_spectrum_kernel(7, n, low, high), offset))
@@ -955,13 +959,28 @@ class TestGainBound:
 
     def test_element_outside_the_kernel_raises_as_value_does(self):
         oracle = LogDetOracle(DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0)))
-        for s in (frozenset(), elems(1, 2)):
-            outsider = Element(id=17)
+        outsider, held = Element(id=17), Element(id=23)
+        cases = [
+            (frozenset(), outsider),
+            (elems(1, 2), outsider),
+            (elems(1, 2) | {held}, Element(id=0)),
+            (Solution([Element(id=1), held]), Element(id=0)),
+        ]
+        # An outsider added to a solution whose vector is kept.
+        grown_from = Solution([Element(id=1)])
+        oracle.gain_bound(grown_from, Element(id=0))
+        cases.append((grown_from.grown([Element(id=1), held], held), Element(id=0)))
+        for s, e in cases:
             with pytest.raises(DomainError) as by_value:
-                oracle.value(s | {outsider})
+                oracle.value(s | {e})
             with pytest.raises(DomainError) as by_bound:
-                oracle.gain_bound(s, outsider)
+                oracle.gain_bound(s, e)
             assert str(by_bound.value) == str(by_value.value)
+        # With outsiders in S and as e, the one in S is named, as a map of
+        # (*S, e) to kernel indices names it.
+        for s in (elems(1) | {held}, Solution([Element(id=1), held])):
+            with pytest.raises(DomainError, match="element 23 "):
+                oracle.gain_bound(s, outsider)
 
     def test_kernel_keeps_one_eigenvalue_range(self, monkeypatch):
         calls = []
@@ -973,3 +992,132 @@ class TestGainBound:
         LogDetOracle(kernel).gain_bound(elems(1), Element(id=0))
         assert len(calls) == 1
         assert kernel.eigen_range == pytest.approx((1.0, 2.0), rel=1e-12)
+
+
+def _reference_gain_bound(oracle, s, e):
+    """``LogDetOracle.gain_bound`` as a loop over S, kept verbatim from
+    before the bound read a vector kept on the solution."""
+    if len(s) >= len(oracle._slacks):
+        return None
+    kernel = oracle.kernel
+    idx = kernel.indices((*s, e))
+    j = idx.pop()
+    row, diag = kernel.matrix[j], oracle._diag
+    pulled = 0.0
+    for i in idx:
+        r = row.item(i)
+        t = r * r / diag[i]
+        if t > pulled:
+            pulled = t
+    slack = oracle._slacks[len(s)] + 8.0 * objectives._U * abs(kernel.offset)
+    return math.log(diag[j] - pulled) + slack
+
+
+def _rbf_kernel(seed, n):
+    """exp(-|x - y|^2 / 6) over 3-d Gaussian points, plus a 0.05 ridge:
+    exactly symmetric, as a kernel built entry by entry from distances is."""
+    points = np.random.default_rng(seed).normal(size=(n, 3))
+    dist = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-dist / 6.0) + 0.05 * np.eye(n)
+
+
+IDENTITY_KERNELS = [
+    pytest.param(_spectrum_kernel(7, 12, low, high), offset, id=f"spectrum-{low:g}-{high:g}")
+    for low, high, offset in SPECTRA
+] + [pytest.param(_rbf_kernel(4, 40), 2.0, id="rbf")]
+
+
+def _path(oracle, s):
+    """Which way ``gain_bound`` answers ``s`` from: its state before the call."""
+    if type(s) is not Solution:
+        return "plain"
+    if s.bound is None:
+        return "rebuilt" if s else "fresh"
+    if s.bound[0] is not oracle:
+        return "other oracle"
+    return "kept" if len(s.bound) == 2 else "grown"
+
+
+class _CheckedBound(LogDetOracle):
+    """A log-det oracle whose every bound is checked, by ``repr``, against
+    the verbatim loop, and counted by the path it took when certified."""
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.paths = {}
+
+    def gain_bound(self, s, e):
+        want = _reference_gain_bound(self, s, e)
+        path = _path(self, s)
+        got = super().gain_bound(s, e)
+        assert repr(got) == repr(want), (path, s, e)
+        if got is not None:
+            self.paths[path] = self.paths.get(path, 0) + 1
+        return got
+
+
+class TestGainBoundBitIdentity:
+    """The bound read from a vector kept on the solution has the bits of
+    the loop over S it replaced, on every path to that vector."""
+
+    @pytest.mark.parametrize("matrix, offset", IDENTITY_KERNELS)
+    def test_instance_steps_match_the_loop(self, matrix, offset):
+        oracle = _CheckedBound(DppKernel(matrix, offset))
+        n = matrix.shape[0]
+        rng = random.Random(n)
+        for limit in (2, 3, 5):
+            for _ in range(6):
+                order = rng.sample(range(n), n)
+                inst = IndStreamInstance(oracle, UniformMatroid(limit))
+                for i in order:
+                    e = Element(id=i)
+                    oracle.gain_bound(frozenset(inst.current_solution()), e)
+                    inst.process(e)
+        assert not oracle.clamped
+        # Near the certified range's floor and at its edge in |S| no gain
+        # clears GAIN_TOL, so those instances hold nothing but the empty set.
+        assert {"fresh", "kept", "plain"} <= set(oracle.paths)
+
+    @pytest.mark.parametrize("matrix, offset", IDENTITY_KERNELS)
+    def test_every_path_matches_the_loop(self, matrix, offset):
+        oracle = _CheckedBound(DppKernel(matrix, offset))
+        n = matrix.shape[0]
+        rng = random.Random(n)
+        for _ in range(20):
+            order = [Element(id=i) for i in rng.sample(range(n), n)]
+            held, s = [], Solution()
+            for added in order[: min(len(oracle._slacks), 12)]:
+                for e in order:
+                    if e not in s:
+                        oracle.gain_bound(s, e)
+                        oracle.gain_bound(frozenset(s), e)
+                if held and rng.random() < 0.3:
+                    held.remove(rng.choice(held))
+                    held.append(added)
+                    s = Solution(held)
+                else:
+                    held.append(added)
+                    s = s.grown(held, added)
+        assert set(oracle.paths) == {"fresh", "grown", "kept", "rebuilt", "plain"}
+
+    @pytest.mark.parametrize("matrix, offset", IDENTITY_KERNELS)
+    def test_one_solution_read_by_two_oracles(self, matrix, offset):
+        n = matrix.shape[0]
+        # The second kernel is the first with its rows and columns
+        # permuted, so an id names another row in each.
+        perm = np.random.default_rng(n).permutation(n)
+        first = _CheckedBound(DppKernel(matrix, offset))
+        second = _CheckedBound(DppKernel(matrix[np.ix_(perm, perm)], offset))
+        ids = random.Random(3).sample(range(n), 5)
+        s = Solution([Element(id=i) for i in ids[:2]])
+        for oracle in (first, second, first, first, second):
+            for i in range(n):
+                if i not in ids[:2]:
+                    oracle.gain_bound(s, Element(id=i))
+        # A solution grown from one oracle's vector, read by the other
+        # first, is rebuilt for each, never grown from the other's.
+        grown = s.grown([*s, Element(id=ids[2])], Element(id=ids[2]))
+        assert grown.bound[0] is second
+        for oracle in (first, second, first):
+            oracle.gain_bound(grown, Element(id=ids[3]))
+        assert second.paths.get("other oracle") and first.paths.get("other oracle")
