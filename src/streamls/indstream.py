@@ -8,8 +8,8 @@ each constraint's ``swap_alpha`` declares its factor for). Every
 element the instance lets go is reported back so callers can route it
 onward. The density-gated variant additionally filters by gain per unit
 knapsack cost and freezes itself the first time a would-be acceptance
-overflows a knapsack, exposing the pre-overflow solution and the
-overflowing element as fallback candidates.
+overflows a knapsack, keeping the overflowing element as a fallback
+candidate; the solution it then holds for good is the other one.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class IndStreamInstance:
         self._weights: dict[Element, float] = {}
         self._solution = Solution()
         self._value = oracle.value(frozenset())
-        self._overflow: tuple[frozenset[Element], Element] | None = None
+        self._overflow: Element | None = None
 
         self.processed = 0
         self.accept_events = 0
@@ -75,7 +75,8 @@ class IndStreamInstance:
         ``current_solution()`` does, which ``frozenset()`` of it may not."""
         return frozenset(self._weights.keys())
 
-    def overflow_record(self) -> tuple[frozenset[Element], Element] | None:
+    def overflow_record(self) -> Element | None:
+        """The element whose acceptance overflowed a knapsack, or None."""
         return self._overflow
 
     @property
@@ -91,7 +92,7 @@ class IndStreamInstance:
     @property
     def held(self) -> int:
         """Elements currently kept alive by this instance."""
-        return len(self._weights) + (1 if self._overflow else 0)
+        return len(self._weights) + (self._overflow is not None)
 
     # -- streaming updates ---------------------------------------------------
 
@@ -178,9 +179,9 @@ class IndStreamInstance:
                 return self._reject(e)
 
         if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):
-            # Theorem-2 fallback pair: the feasible solution just before
-            # the overflow, and the overflowing element itself.
-            self._overflow = (self.solution_copy(), e)
+            # Theorem-2 fallback pair: the solution held from now on, as it
+            # was just before the overflow, and the overflowing element.
+            self._overflow = e
             self._note_memory()
             return self._reject(e)
 

@@ -144,12 +144,16 @@ def resolve_alpha(constraint: IndependenceOracle) -> float:
     return constraint.swap_alpha
 
 
-def chain_length(alpha: float, beta: float) -> int:
-    """Number of chained instances: ceil(sqrt(2*beta/alpha) + 1)."""
+def _check_factors(alpha: float, beta: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError("alpha must lie in (0, 1]")
     if not 0.0 < beta <= 0.5:
         raise ConfigError("beta must lie in (0, 1/2]")
+
+
+def chain_length(alpha: float, beta: float) -> int:
+    """Number of chained instances: ceil(sqrt(2*beta/alpha) + 1)."""
+    _check_factors(alpha, beta)
     return _ceil(math.sqrt(2.0 * beta / alpha) + 1.0)
 
 
@@ -162,10 +166,7 @@ def guarantee_bound(alpha: float, beta: float, d: int, eps: float) -> float:
     alpha = 1/(4p) it reproduces 1/(1+2*sqrt(p))^2 and, for d knapsacks,
     (1-eps)/(1+4p+4*sqrt(p)+d(2+1/sqrt(p))).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError("alpha must lie in (0, 1]")
-    if not 0.0 < beta <= 0.5:
-        raise ConfigError("beta must lie in (0, 1/2]")
+    _check_factors(alpha, beta)
     if d < 0:
         raise ConfigError("knapsack count must be non-negative")
     if not 0.0 <= eps < 1.0:
@@ -291,18 +292,17 @@ class ChainState:
         for inst in self.instances:
             solution = inst.current_solution()
             candidates = [(solution, value(solution)), pruned[solution]]
-            record = inst.overflow_record()
-            if record is not None:
-                before, last = record
+            last = inst.overflow_record()
+            if last is not None:  # then the solution is the pre-overflow one
                 alone = frozenset((last,))
-                candidates += ((before, value(before)), (alone, value(alone)))
+                candidates.append((alone, value(alone)))
             for cand, cand_value in candidates:
                 if best is None or cand_value > best[1]:
                     best = (cand, cand_value, inst)
         assert best is not None
         cand, cand_value, inst = best
         # A frozenset() copy of the Solution may reorder it.
-        plain = inst.solution_copy() if cand is inst.current_solution() else frozenset(cand)
+        plain = inst.solution_copy() if cand is inst.current_solution() else cand
         return Selection(plain, cand_value)
 
     def stats(self) -> dict:

@@ -638,6 +638,11 @@ class SequentialDppOracle(ValueOracle):
 ComponentFn = Callable[[frozenset[Element]], float]
 
 
+def _as_frozenset(elements: Iterable[Element]) -> frozenset[Element]:
+    """A frozenset as it is: a copy of a held ``Solution`` may reorder it."""
+    return elements if isinstance(elements, frozenset) else frozenset(elements)
+
+
 def coverage_component(
     items: AbstractSet[Hashable],
     items_of: Callable[[Element], AbstractSet[Hashable]],
@@ -699,14 +704,14 @@ class DecomposableOracle(ValueOracle):
     def component_value(self, eid: int, elements: AbstractSet[Element]) -> float:
         if eid not in self._components:
             raise DomainError(f"element {eid} has no component")
-        return self._components[eid](frozenset(elements)) / self._scale
+        return self._components[eid](_as_frozenset(elements)) / self._scale
 
     def value(self, elements: Iterable[Element]) -> float:
-        return self._mean(self._sample, frozenset(elements))
+        return self._mean(self._sample, _as_frozenset(elements))
 
     def exact_value(self, elements: Iterable[Element]) -> float:
         """Mean over every ground component; the quantity ``value`` estimates."""
-        return self._mean(self._ground, frozenset(elements))
+        return self._mean(self._ground, _as_frozenset(elements))
 
     def _mean(self, over: list[Element], s: frozenset[Element]) -> float:
         if not over:

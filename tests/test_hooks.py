@@ -1,15 +1,18 @@
-"""The names perfbench's tracer patches, checked without importing it.
+"""The names perfbench patches and reads, checked without importing it.
 
 ``perfbench/tracing.py`` wraps a method by reading
-``owner.__dict__[name]`` and swaps a module's name with ``setattr``. A
-renamed method or a dropped import then fails only the traced
-benchmark runs; these tests fail first.
+``owner.__dict__[name]`` and swaps a module's name with ``setattr``.
+``perfbench/workloads.py`` and the tracer also read engine state and
+``stats()`` keys to check conservation and count held elements. A
+renamed method, attribute or key, or a dropped import, then fails only
+the benchmark runs; these tests fail first.
 """
 
 import pytest
 
 import streamls
 from streamls import cli, constraints, indstream, localsearch, objectives, streamio
+from streamls import Element, KnapsackSpec, ModularOracle, StreamingSession, UniformMatroid
 from streamls.cli import main
 from streamls.unconstrained import unconstrained_max
 
@@ -119,3 +122,33 @@ def test_the_run_path_resolves_each_name_through_its_module(tmp_path, monkeypatc
         monkeypatch.setattr(module, name, spies[name])
     assert main(["run", "--config", str(config)]) == 0
     assert {name: spy.calls for name, spy in spies.items()} == dict.fromkeys(spies, 1)
+
+
+def test_the_state_perfbench_reads_is_there():
+    weights = ModularOracle({i: 1.0 for i in range(7)})
+    # Two elements of cost 0.6 overflow the one budget, so instances freeze.
+    elements = [Element(id=i, costs=(0.6,)) for i in range(6)]
+    grid = StreamingSession(weights, UniformMatroid(3), KnapsackSpec(1), k=3)
+    chain = StreamingSession(weights, UniformMatroid(3))
+    for e in elements:
+        grid.push(e)
+        chain.push(e)
+    assert isinstance(grid.engine, localsearch.GridState)
+    assert isinstance(chain.engine, localsearch.ChainState)
+    assert isinstance(grid.engine.runs, dict) and grid.engine.runs
+    records = []
+    for c in [*grid.engine.runs.values(), chain.engine]:
+        assert (type(c.processed), type(c.dropped)) == (int, int)
+        for inst in c.instances:
+            assert isinstance(inst, indstream.IndStreamInstance)
+            assert all(type(e) is Element for e in inst.current_solution())
+            records.append(inst.overflow_record())
+    assert any(r is not None for r in records)
+    assert all(r is None or type(r) is Element for r in records)
+
+    outcome = chain.engine.instances[0].process(Element(id=6))
+    assert type(outcome.accepted) is bool and isinstance(outcome.discarded, frozenset)
+
+    stats = grid.engine.stats()
+    assert all(type(stats[key]) is int for key in ("active_runs", "retired_runs", "high_water"))
+    assert type(chain.close().stats["high_water"]) is int

@@ -194,9 +194,8 @@ class TestOverflow:
         out = inst.process_with_threshold(costed(1, 0.6))
         assert not out.accepted
         assert out.discarded == frozenset({Element(id=1)})
-        before, last = inst.overflow_record()
-        assert before == frozenset({Element(id=0)})
-        assert last == Element(id=1)
+        assert inst.overflow_record() == Element(id=1)
+        assert inst.frozen and inst.held == 2
         # Frozen: even a huge in-budget element is passed along untouched.
         out = inst.process_with_threshold(costed(2, 0.1))
         assert not out.accepted
@@ -311,16 +310,22 @@ class TestHeldSolution:
         # No bound read second: third keeps nothing of it.
         assert second.grown([x, y, z], z).bound is None
 
-    def test_overflow_record_iterates_as_the_solution(self):
-        # Six held elements: a frozenset() copy of a Solution this size
-        # gets a smaller table and may iterate in another order.
+    def test_frozen_record_is_the_overflowing_element(self):
+        # The pre-overflow solution is the one the frozen instance holds,
+        # so the record keeps only the element and no copy of the set.
         ids = random.Random(6).sample(range(10**6), 7)
         inst = IndStreamInstance(
             ModularOracle({i: 1.0 for i in ids}), UniformMatroid(10), 1e-9, KnapsackSpec(1)
         )
         for i in ids:
             inst.process(costed(i, 0.15))
-        before, last = inst.overflow_record()
-        assert last.id == ids[-1] and len(before) == 6
-        assert type(before) is frozenset
-        assert list(before) == list(inst.current_solution())
+        s = inst.current_solution()
+        assert inst.frozen
+        assert inst.overflow_record() == Element(id=ids[-1])
+        assert type(inst.overflow_record()) is Element
+        assert s == frozenset(map(Element, ids[:-1]))
+        assert inst.held == len(s) + 1 == 7
+        assert inst.high_water == 7
+        # Nothing commits after the freeze: the held object stays.
+        inst.process(costed(10**6, 0.0))
+        assert inst.current_solution() is s and inst.held == 7

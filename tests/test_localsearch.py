@@ -1,9 +1,12 @@
 """Chain routing, finalize argmax, the lazy threshold grid and the
 session API."""
 
+import gc
 import math
 import random
 import warnings
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from streamls import (
     ConfigError,
     CoverageOracle,
     CutOracle,
+    DecomposableOracle,
     DomainError,
     DoubleGreedyConfig,
     DppKernel,
@@ -24,10 +28,12 @@ from streamls import (
     ModularOracle,
     PartitionMatroid,
     PredicateOracle,
+    SegmentedDppSession,
     Selection,
     StreamingSession,
     UniformMatroid,
     ValueOracle,
+    WeightedSumOracle,
     brute_opt,
     chain_length,
     guarantee_bound,
@@ -36,6 +42,7 @@ import streamls.indstream as indstream
 import streamls.localsearch as localsearch
 import streamls.unconstrained as unconstrained
 from streamls.indstream import IndStreamInstance
+from streamls.localsearch import SegmentState
 from streamls.objectives import suggest_logdet_offset
 from streamls.unconstrained import unconstrained_max, unconstrained_max_many
 from streamls.verify import UnscreenedLogDet, _screen_run, random_instance
@@ -98,6 +105,22 @@ class TestGuaranteeBound:
             guarantee_bound(0.5, 0.5, -1, 0.0)
         with pytest.raises(ConfigError):
             guarantee_bound(0.5, 0.5, 0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (0.0, 0.7, r"alpha must lie in \(0, 1\]"),
+            (1.5, 0.5, r"alpha must lie in \(0, 1\]"),
+            (0.5, 0.7, r"beta must lie in \(0, 1/2\]"),
+            (0.5, 0.0, r"beta must lie in \(0, 1/2\]"),
+        ],
+    )
+    def test_factor_checks_match_chain_length(self, alpha, beta, message):
+        # alpha is checked before beta, and before d and eps.
+        with pytest.raises(ConfigError, match=message):
+            chain_length(alpha, beta)
+        with pytest.raises(ConfigError, match=message):
+            guarantee_bound(alpha, beta, -1, 1.0)
 
 
 class TestChain:
@@ -494,7 +517,8 @@ class ReferenceChain(ChainState):
     """Plain routing, the reference for the pass-through chain: every
     element goes through every instance, frozen ones included, and
     ``held`` is recounted on every push. Its ``finalize`` is the uncached
-    one: it prunes and evaluates every candidate on every call."""
+    one: it prunes and evaluates every candidate on every call, a frozen
+    instance's pre-overflow set included as a copy of its solution."""
 
     def process(self, e):
         self.processed += 1
@@ -517,10 +541,11 @@ class ReferenceChain(ChainState):
             solution = inst.current_solution()
             candidates.append(solution)
             candidates.append(unconstrained_max(self.oracle, solution, self.prune))
-            record = inst.overflow_record()
-            if record is not None:
-                before, last = record
-                candidates.append(before)
+            last = inst.overflow_record()
+            if last is not None:
+                # The pre-overflow solution, as a plain set rebuilt from
+                # the held keys, then the overflowing element alone.
+                candidates.append(inst.solution_copy())
                 candidates.append(frozenset({last}))
             for cand in candidates:
                 value = self.oracle.value(cand)
@@ -621,6 +646,70 @@ class CountingKnapsacks(KnapsackSpec):
     def total_cost(self, e):
         self.calls += 1
         return super().total_cost(e)
+
+
+def sparse_stream(rng, n, d):
+    """n elements with ids spread over a wide range, so that the order a
+    set iterates in depends on how its table was built, and a kernel over
+    those ids with the run path's automatic offset. Costs are low enough
+    that an instance holds five or more elements before it freezes."""
+    ids = rng.sample(range(10**6), n)
+    features = np.array([[rng.gauss(0.0, 0.8) for _ in range(8)] for _ in ids])
+    matrix = features @ features.T + 0.2 * np.eye(n)
+    kernel = DppKernel(matrix, offset=suggest_logdet_offset(matrix), ids=ids)
+    elements = [
+        Element(
+            id=i,
+            costs=tuple(rng.uniform(0.02, 0.3) for _ in range(d)),
+            groups=frozenset({rng.choice("ab")}),
+        )
+        for i in ids
+    ]
+    return kernel, elements
+
+
+def float_sum_component(weights, s):
+    """log1p of a float sum over s in its iteration order: submodular, and
+    its last bits follow that order."""
+    return math.log1p(sum(weights[x.id] for x in s))
+
+
+def rebuilding_oracle(kind, rng, kernel, elements):
+    """An oracle that evaluates a set after rebuilding it, or reads it
+    through ``DecomposableOracle``'s frozenset components."""
+    ids = [e.id for e in elements]
+    if kind == "mixture":
+        covers = {i: rng.sample(range(2 * len(ids)), 3) for i in ids}
+        return WeightedSumOracle(
+            [(1.0, LogDetOracle(kernel)), (0.5, CoverageOracle(covers))]
+        )
+    components = {
+        i: partial(
+            float_sum_component,
+            {j: rng.uniform(0.5, 1.5) * 10.0 ** rng.randint(-9, 0) for j in ids},
+        )
+        for i in ids
+    }
+    return DecomposableOracle(components, elements, rng.sample(elements, len(ids) // 2))
+
+
+def assert_same_selection(got, want):
+    assert (got.ids, repr(got.value)) == (want.ids, repr(want.value))
+
+
+def check_frozen_solutions(engine):
+    """Each frozen instance's solution has, under the engine's oracle, the
+    bits of the plain copy a pre-overflow record used to hold. Returns how
+    many of them a ``frozenset()`` rebuild would iterate in another order."""
+    reordered = 0
+    runs = engine.runs.values() if isinstance(engine, GridState) else [engine]
+    for chain in runs:
+        for inst in chain.instances:
+            if inst.frozen:
+                s, copy = inst.current_solution(), inst.solution_copy()
+                assert repr(chain.oracle.value(s)) == repr(chain.oracle.value(copy))
+                reordered += list(frozenset(s)) != list(s)
+    return reordered
 
 
 class TestFrozenPassThrough:
@@ -727,6 +816,62 @@ class TestFrozenPassThrough:
         assert chain.instances[1].accept_events > 1
         assert chain.instances[2].current_solution()
 
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["mixture", "decomposable"])
+    def test_rebuilding_oracles_match_reference_routing(self, kind, d):
+        # The reference still offers each frozen instance's pre-overflow
+        # copy; under these oracles it must never beat the solution.
+        reordered = 0
+        for trial in range(10):
+            rng = random.Random(f"rebuilding:{kind}:{d}:{trial}")
+            kernel, elements = sparse_stream(rng, rng.randint(10, 16), d)
+            oracle = rebuilding_oracle(kind, rng, kernel, elements)
+            constraint = PartitionMatroid({"a": 4, "b": 4})
+            prune = RANDOMIZED if trial % 2 else DoubleGreedyConfig()
+            options = dict(k=8, eps=0.2, prune=prune)
+            session = StreamingSession(oracle, constraint, KnapsackSpec(d), **options)
+            reference = ReferenceGrid(oracle, constraint, KnapsackSpec(d), **options)
+            for e in elements:
+                session.push(e)
+                reference.process(e)
+                assert_same_selection(session.snapshot(), reference.finalize())
+                assert repr(session.engine.stats()) == repr(reference.stats())
+                reordered += check_frozen_solutions(session.engine)
+            report = session.close()
+            assert_same_selection(report.selection, reference.finalize())
+            assert repr(report.stats) == repr(reference.stats())
+        assert reordered > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_segments_match_reference_routing(self, d):
+        # Each segment's SequentialDppOracle rebuilds its sets too.
+        reordered = 0
+        for trial in range(10):
+            rng = random.Random(f"rebuilding:segments:{d}:{trial}")
+            kernel, elements = sparse_stream(rng, rng.randint(10, 16), d)
+            options = dict(
+                constraint=UniformMatroid(8),
+                knapsacks=KnapsackSpec(d),
+                k=8,
+                eps=0.2,
+                prune=RANDOMIZED if trial % 2 else DoubleGreedyConfig(),
+            )
+            segment = rng.randint(6, 10)
+            session = SegmentedDppSession(kernel, segment, **options)
+            reference = SegmentState(kernel, segment, partial(ReferenceGrid, **options))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for e in elements:
+                    session.push(e)
+                    reference.process(e)
+                    assert_same_selection(session.snapshot(), reference.finalize())
+                    assert repr(session.engine.stats()) == repr(reference.stats())
+                    reordered += check_frozen_solutions(session.engine._engine)
+                report = session.close()
+                assert_same_selection(report.selection, reference.finalize())
+            assert repr(report.stats) == repr(reference.stats())
+        assert reordered > 0
 
 class TestOverCapacityPassThrough:
     @pytest.mark.parametrize("d", [1, 2])
@@ -1133,6 +1278,39 @@ class TestPruningMemo:
         assert spy.calls == 0
 
 
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_the_memo_keeps_the_last_snapshots_solutions_alive(self, d):
+        # Rows scaled up along the stream, so later elements swap in and
+        # every solution changes between the two snapshots.
+        n = 80
+        factors = np.random.default_rng(8).normal(size=(n, 3))
+        scale = np.sqrt(1.1 ** np.arange(n))
+        matrix = (factors @ factors.T + 0.5 * np.eye(n)) * np.outer(scale, scale)
+        oracle = LogDetOracle(DppKernel(0.5 * (matrix + matrix.T)))
+        rng = random.Random(8)
+        elements = [Element(id=i, costs=(rng.uniform(0.01, 0.1),) * d) for i in range(n)]
+        knapsacks = KnapsackSpec(d) if d else None
+        session = StreamingSession(oracle, UniformMatroid(4), knapsacks, k=4)
+        engine = session.engine
+        for e in elements[:40]:
+            session.push(e)
+        session.snapshot()
+        taken = [weakref.ref(s) for s in live_solutions(engine)]
+        for e in elements[40:]:
+            session.push(e)
+        gc.collect()
+        live = live_solutions(engine)
+        kept = [s for s in (ref() for ref in taken) if s is not None and s not in live]
+        # The memo is keyed by the last snapshot's solution objects, so it
+        # keeps those, and the bound vectors on them, until the next one.
+        assert kept and all(s.bound is not None for s in kept)
+        assert len(kept) <= len(engine._memo)
+        assert all(any(s is key for key in engine._memo) for s in kept)
+        del kept
+        session.snapshot()
+        gc.collect()
+        assert all(ref() is None or ref() in live for ref in taken)
+
 def _screen_kernel(kind, n, seed):
     """A log-det kernel over ids 0..n-1 and its offset: ``rbf`` is well
     conditioned, ``edge`` certified for small sets only, and ``clamping``
@@ -1190,7 +1368,7 @@ class TestGainBoundScreen:
         def checked_process(self, e):
             # Wherever the bound is a number, the gain the step would take,
             # from a value call on the same ordered set, is at most it.
-            if self._overflow is None:
+            if not self.frozen:
                 s = self.current_solution()
                 bound = self.oracle.gain_bound(s, e)
                 if bound is not None:

@@ -690,6 +690,27 @@ class TestDecomposable:
         oracle = DecomposableOracle(components, ground, ground)
         assert oracle.component_value(0, frozenset(ground)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("size", [5, 6, 7, 16, 17])
+    def test_a_held_solution_is_read_as_it_iterates(self, size):
+        # A frozenset() copy of a Solution this size may iterate in another
+        # order; a float sum over the set follows the order it is read in.
+        rng = random.Random(size)
+        ground = [Element(id=i) for i in rng.sample(range(10**6), size)]
+        weights = {e.id: rng.uniform(0.5, 1.5) * 10.0 ** rng.randint(-16, 0) for e in ground}
+        seen = []
+
+        def component(s):
+            seen.append([e.id for e in s])
+            return sum(weights[e.id] for e in s)
+
+        oracle = DecomposableOracle({e.id: component for e in ground}, ground, ground)
+        keys = dict.fromkeys(ground).keys()
+        solution, plain = Solution(keys), frozenset(keys)
+        seen.clear()
+        assert repr(oracle.value(solution)) == repr(oracle.value(plain))
+        assert repr(oracle.exact_value(solution)) == repr(oracle.exact_value(plain))
+        assert all(ids == [e.id for e in solution] for ids in seen)
+
 
 class TestReservoirSampling:
     def test_fill_phase_appends(self):
