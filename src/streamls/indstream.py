@@ -141,10 +141,6 @@ class IndStreamInstance:
         if e in self._weights:
             raise PreconditionError(f"element {e.id} is already in the solution")
 
-        if knapsacks is not None and not knapsacks.singleton_fits(e):
-            # Cost above a unit capacity: never placeable in any solution.
-            return self._reject(e)
-
         s = self._solution
         bound = self.oracle.gain_bound(s, e)
         gain = self.oracle.value(s | {e}) - self._value if bound is None else bound
@@ -178,12 +174,17 @@ class IndStreamInstance:
             if (cost > 0.0 and gain / cost < rho) or gain < floor:
                 return self._reject(e)
 
-        if knapsacks is not None and not knapsacks.feasible((s | {e}) - evicted):
-            # Theorem-2 fallback pair: the solution held from now on, as it
-            # was just before the overflow, and the overflowing element.
-            self._overflow = e
-            self._note_memory()
-            return self._reject(e)
+        if knapsacks is not None:
+            if not knapsacks.singleton_fits(e):
+                # Cost above a unit capacity: never placeable in any
+                # solution, so it is rejected, not kept as an overflow.
+                return self._reject(e)
+            if not knapsacks.feasible((s | {e}) - evicted):
+                # Theorem-2 fallback pair: the solution held from now on, as
+                # it was just before the overflow, and the overflowing element.
+                self._overflow = e
+                self._note_memory()
+                return self._reject(e)
 
         return self._commit(e, gain, evicted)
 

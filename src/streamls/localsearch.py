@@ -192,14 +192,14 @@ class ChainState:
     Every instance a batch reaches takes it through its own ``process``;
     a frozen one rejects each element there, so the batch goes on
     unchanged. The chain skips its instances only when every one is
-    frozen, or, in a threshold grid, when the density gate must reject
-    the element at every instance (see ``process``) or the element is
-    above a unit capacity (see ``GridState.process``): then it counts the
-    element as processed and discarded by each and dropped, with no
-    instance or oracle call. ``held`` is the stored sum of the
-    instances' ``held``. It is recounted only after a step that ran the
-    instances, because commit and freeze are the only places an
-    instance's ``held`` changes.
+    frozen: then it counts the element as processed and discarded by
+    each and dropped, with no instance or oracle call. A threshold grid
+    does not call a run on an element its density screen rules out, and
+    counts such elements into the run later (see ``GridState``).
+    ``held`` is the stored sum of the instances' ``held``. It is
+    recounted only after a step in which an instance committed or froze,
+    the only places an instance's ``held``, ``value`` or ``frozen``
+    changes.
     """
 
     def __init__(
@@ -231,48 +231,37 @@ class ChainState:
         self._all_frozen = all(inst.frozen for inst in self.instances)
         self._slack = _SCREEN_REL * max(abs(inst.value) for inst in self.instances)
 
-    def _pass_through(self) -> None:
-        """Count the element as processed, rejected by every instance and
-        dropped, with no instance step."""
-        self.processed += 1
+    def _pass_through(self, n: int = 1) -> None:
+        """Count ``n`` elements as processed, rejected by every instance
+        and dropped, with no instance step."""
+        self.processed += n
         for inst in self.instances:
-            inst.processed += 1
-            inst.discarded_total += 1
-        self.dropped += 1
+            inst.processed += n
+            inst.discarded_total += n
+        self.dropped += n
 
-    def process(
-        self,
-        e: Element,
-        *,
-        gain_cap: float | None = None,
-        cost: float = 0.0,
-    ) -> None:
-        """Route one stream element through the whole chain.
-
-        Given ``gain_cap``, an upper bound on e's gain over any set, and
-        e's total knapsack ``cost``, the element is skipped when the
-        density gate must reject it everywhere: rho * cost above the cap.
-        The screen is off once the oracle has clamped, since the bound
-        rests on submodularity.
-        """
-        if self._all_frozen or (
-            gain_cap is not None
-            and self.rho * cost > gain_cap + self._slack
-            and not self.oracle.clamped
-        ):
+    def process(self, e: Element) -> None:
+        """Route one stream element through the whole chain."""
+        if self._all_frozen:
             self._pass_through()
             return
         self.processed += 1
+        changed = False  # whether an instance committed or froze
         batch: list[Element] = [e]
         for inst in self.instances:
+            was_frozen = inst.frozen
             discarded: list[Element] = []
-            for x in sorted(batch, key=lambda el: el.id):
-                discarded.extend(inst.process(x).discarded)
+            for x in batch if len(batch) == 1 else sorted(batch, key=lambda el: el.id):
+                outcome = inst.process(x)
+                changed = changed or outcome.accepted
+                discarded.extend(outcome.discarded)
+            changed = changed or inst.frozen != was_frozen
             batch = discarded
             if not batch:
                 break
         self.dropped += len(batch)
-        self._recount()  # a live instance ran
+        if changed:
+            self._recount()
 
     def finalize(self, pruned: Memo | None = None) -> Selection:
         """Best of all instance solutions and their pruned variants.
@@ -326,6 +315,12 @@ class GridState:
     and opens high ones, so surviving runs never restart. The active
     window keeps one index at or below gamma so that some active
     threshold rho satisfies rho <= rho* <= (1+eps) rho.
+
+    A step calls a run only when e could change it: when the density
+    screen in ``process`` lets e through, or the run is all frozen. Every
+    other element routed to a run is counted into it, as processed and
+    discarded by each instance and dropped, when ``stats`` reads the
+    counters; until then a run's counters lag the stream.
 
     Runs at neighbouring thresholds often hold equal solutions, so one
     step asks for many sets more than once. For an oracle that opts in
@@ -383,6 +378,8 @@ class GridState:
         # Keyed by ascending index: m only grows, so neither end of the
         # window moves down and every run opens above the ones kept.
         self.runs: dict[int, ChainState] = {}
+        # Per run, the grid's ``processed`` before the element it opened on.
+        self._opened: dict[int, int] = {}
         self.processed = 0
         self.retired = 0
         self.high_water = 0
@@ -435,10 +432,12 @@ class GridState:
             self._retired_chain_high_water = max(
                 self._retired_chain_high_water, self.runs.pop(j).high_water
             )
+            del self._opened[j]
             self.retired += 1
         for j in range(lo, hi + 1):
             if j not in self.runs:
                 self.runs[j] = self._new_chain(rho=self._threshold(j))
+                self._opened[j] = self.processed - 1
         self.max_active_runs = max(self.max_active_runs, len(self.runs))
 
     def process(self, e: Element) -> None:
@@ -452,9 +451,8 @@ class GridState:
             self._step_memo.clear()
         if not self.knapsacks.singleton_fits(e):
             # Above a unit capacity: every instance would reject e at its
-            # own step. No chain's held changes, so neither does the peak.
-            for chain in self.runs.values():
-                chain._pass_through()
+            # own step, so no run is called and ``_sync`` counts e into
+            # each. No chain's held changes, so neither does the peak.
             return
         # f({e}) sets m, the window and the density screen's bound.
         value = self._evaluator.value(frozenset({e}))
@@ -468,9 +466,20 @@ class GridState:
         cost = self.knapsacks.total_cost(e)
         magnitude = abs(value) + abs(self._empty)
         gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
+        oracle = self._evaluator
         held = 0
         for chain in self.runs.values():
-            chain.process(e, gain_cap=gain_cap, cost=cost)
+            # The density screen: with rho * cost above the cap, the gate
+            # rejects e at every instance of the run. Written as not-above,
+            # so a nan cap lets e through. It is off once the oracle has
+            # clamped, since the cap rests on submodularity; a clamp in
+            # this step turns it off for the runs after.
+            if (
+                chain._all_frozen
+                or not (chain.rho * cost > gain_cap + chain._slack)
+                or oracle.clamped
+            ):
+                chain.process(e)
             held += chain.held
         self.high_water = max(self.high_water, held)
 
@@ -492,7 +501,15 @@ class GridState:
             best = Selection(frozenset(), self._empty)
         return best
 
+    def _sync(self) -> None:
+        """Count into each run the elements routed to it uncalled."""
+        for j, chain in self.runs.items():
+            lag = self.processed - self._opened[j] - chain.processed
+            if lag:
+                chain._pass_through(lag)
+
     def stats(self) -> dict:
+        self._sync()
         return {
             "active_runs": len(self.runs),
             "max_active_runs": self.max_active_runs,

@@ -152,3 +152,35 @@ def test_the_state_perfbench_reads_is_there():
     stats = grid.engine.stats()
     assert all(type(stats[key]) is int for key in ("active_runs", "retired_runs", "high_water"))
     assert type(chain.close().stats["high_water"]) is int
+
+
+def test_close_brings_every_run_counter_up_to_the_stream():
+    # A grid counts the elements it routes past a run uncalled into that
+    # run when its counters are read, as close() does; perfbench's
+    # conservation check reads them after close().
+    weights = {i: 1.0 + (i % 5) for i in range(40)}
+    weights.update({i: 0.01 for i in range(3, 40, 4)})
+    elements = [Element(id=i, costs=(0.05 + 0.1 * (i % 4),)) for i in range(40)]
+    elements[17] = Element(id=17, costs=(1.5,))  # above the unit capacity
+    session = StreamingSession(ModularOracle(weights), UniformMatroid(4), KnapsackSpec(1), k=4)
+    grid = session.engine
+    opened = {}
+    lagged = False
+    for n, e in enumerate(elements):
+        session.push(e)
+        for j in grid.runs:
+            opened.setdefault(j, n)
+        lagged = lagged or any(
+            c.processed < n + 1 - opened[j] for j, c in grid.runs.items()
+        )
+    assert lagged
+    session.close()
+    assert grid.runs
+    for j, chain in grid.runs.items():
+        assert chain.processed == len(elements) - opened[j]
+        solutions = [inst.current_solution() for inst in chain.instances]
+        union = frozenset().union(*solutions)
+        assert len(union) == sum(len(s) for s in solutions)
+        assert chain.processed == len(union) + chain.dropped
+        for inst, solution in zip(chain.instances, solutions):
+            assert inst.processed == len(solution) + inst.discarded_total

@@ -572,6 +572,12 @@ class ReferenceGrid(GridState):
             knapsacks=self.knapsacks,
         )
 
+    def _sync(self):
+        # Every run is called on every element from the one it opened on,
+        # so the reference has nothing to add; it counts every step itself.
+        for j, chain in self.runs.items():
+            assert chain.processed == self.processed - self._opened[j]
+
     def process(self, e):
         self.processed += 1
         if self.knapsacks.singleton_fits(e) and self.constraint.is_independent(
@@ -1113,25 +1119,136 @@ class TestDensityScreen:
         low = session.engine.runs[min(session.engine.runs)]
         assert low.instances[0].current_solution() == frozenset({first, second})
 
-    def test_screened_run_makes_no_call(self):
-        oracle = CountingOracle({0: 1.0, 1: 1.0})
+    def test_screened_run_makes_no_call(self, monkeypatch):
+        oracle = CountingOracle({0: 1.0, 1: 0.01, 2: 1.0})
         constraint = CountingMatroid(2)
         knapsacks = CountingKnapsacks(1)
-        chain = ChainState(oracle, constraint, rho=4.0, knapsacks=knapsacks)
-        oracle.calls = 0
-        # rho * cost = 2 exceeds the bound f({e}) - f(empty) = 1.
-        chain.process(costed(0, 0.5), gain_cap=1.0, cost=0.5)
-        assert (oracle.calls, constraint.calls, knapsacks.calls) == (0, 0, 0)
-        assert (chain.processed, chain.dropped) == (1, 1)
-        assert [inst.processed for inst in chain.instances] == [1, 1, 1]
-        assert [inst.discarded_total for inst in chain.instances] == [1, 1, 1]
-        assert_conserved(chain)
-        # Under the bound the element is offered, and the empty first
-        # instance takes it on one value call, its own f({e}).
-        taken = costed(1, 0.2)
-        chain.process(taken, gain_cap=1.0, cost=0.2)
-        assert oracle.calls == 1
-        assert chain.instances[0].current_solution() == frozenset({taken})
+        grid = GridState(oracle, constraint, knapsacks, k=2)
+        stepped = []
+        process = ChainState.process
+        monkeypatch.setattr(
+            ChainState, "process", lambda chain, e: stepped.append(chain) or process(chain, e)
+        )
+        first = costed(0, 0.5)
+        grid.process(first)
+        runs = list(grid.runs.values())
+        assert stepped == runs
+        stepped.clear()
+        oracle.calls = constraint.calls = knapsacks.calls = 0
+        # Every rho * cost is above the bound f({e}) - f(empty) = 0.01, so
+        # only the grid's own f({e}), capacity test and cost are asked.
+        assert all(chain.rho * 0.9 > 0.02 for chain in runs)
+        grid.process(costed(1, 0.9))
+        assert stepped == []
+        assert (oracle.calls, constraint.calls, knapsacks.calls) == (1, 0, 2)
+        assert all(chain.processed == 1 for chain in runs)
+        grid.stats()
+        for chain in runs:
+            assert (chain.processed, chain.dropped) == (2, 1)
+            assert [inst.processed for inst in chain.instances] == [2, 1, 1]
+            assert [inst.discarded_total for inst in chain.instances] == [1, 1, 1]
+            assert_conserved(chain)
+        # Under the bound the element is offered to every run, and each
+        # first instance takes it.
+        taken = costed(2, 0.2)
+        grid.process(taken)
+        assert stepped == runs
+        for chain in runs:
+            assert chain.instances[0].current_solution() == frozenset({first, taken})
+
+    def test_a_nan_singleton_passes_the_screen(self):
+        # f({x}) is nan for the marked elements, so the grid's gain cap is
+        # nan; f of any larger set holding x is the weight sum. A screen
+        # written as rho * cost <= cap would skip x at every run, where an
+        # unscreened run can take it.
+        class NanSingletons(ModularOracle):
+            def __init__(self, weights, marked):
+                super().__init__(weights)
+                self.marked = marked
+
+            def value(self, elements):
+                items = list(elements)
+                if len(items) == 1 and items[0].id in self.marked:
+                    return math.nan
+                return super().value(items)
+
+        taken = 0
+        for trial in range(6):
+            rng = random.Random(f"nan-singleton:{trial}")
+            n = 24
+            weights = {i: rng.uniform(0.5, 2.0) for i in range(n)}
+            marked = set(rng.sample(range(4, n), 5))
+            for i in marked:
+                weights[i] = rng.uniform(2.0, 4.0)
+            elements = [costed(i, rng.uniform(0.05, 0.4)) for i in range(n)]
+            oracle = NanSingletons(weights, marked)
+            options = dict(k=6, eps=0.2)
+            session = StreamingSession(oracle, UniformMatroid(6), KnapsackSpec(1), **options)
+            reference = ReferenceGrid(oracle, UniformMatroid(6), KnapsackSpec(1), **options)
+            for e in elements:
+                session.push(e)
+                reference.process(e)
+                assert_same_bits(session, reference)
+            for chain in session.engine.runs.values():
+                for inst in chain.instances:
+                    taken += any(x.id in marked for x in inst.current_solution())
+        assert taken > 0
+
+    def test_the_grid_calls_only_the_runs_an_element_can_change(self, monkeypatch):
+        # run-budget's shape: a log-det grid under an unbounded uniform
+        # matroid, k from its rank hint, one knapsack.
+        rng = random.Random("one-step-routing")
+        n = 40
+        features = np.array([[rng.gauss(0.0, 0.8) for _ in range(8)] for _ in range(n)])
+        matrix = features @ features.T + 0.2 * np.eye(n)
+        kernel = DppKernel(matrix, offset=suggest_logdet_offset(matrix))
+        elements = [costed(i, rng.uniform(0.1, 0.4)) for i in range(n)]
+        stepped = []
+        process = ChainState.process
+        monkeypatch.setattr(
+            ChainState, "process", lambda chain, e: stepped.append(chain) or process(chain, e)
+        )
+        oracle = LogDetOracle(kernel)
+        grid = GridState(oracle, UniformMatroid(1 << 30), KnapsackSpec(1))
+        reference = ReferenceGrid(
+            LogDetOracle(kernel), UniformMatroid(1 << 30), KnapsackSpec(1)
+        )
+        assert grid.k == 1 << 30
+        # The density gate's bound, from an oracle of its own.
+        probe = LogDetOracle(kernel)
+        empty = probe.value(frozenset())
+        screened = called_frozen = frozen_in_range = 0
+        for e in elements:
+            frozen = {id(c) for c in grid.runs.values() if c._all_frozen}
+            cap = probe.value(frozenset({e})) - empty
+            stepped.clear()
+            grid.process(e)
+            reference.process(e)
+            called = {id(c) for c in stepped}
+            for chain in grid.runs.values():
+                if id(chain) in frozen:
+                    assert id(chain) in called
+                    called_frozen += 1
+                    frozen_in_range += chain.rho * e.costs[0] > cap + 1e-3
+                elif chain.rho * e.costs[0] > cap + 1e-3:
+                    assert id(chain) not in called
+                    screened += 1
+                elif chain.rho * e.costs[0] < cap - 1e-3:
+                    assert id(chain) in called
+            assert repr(grid.stats()) == repr(reference.stats())
+            for j, chain in grid.runs.items():
+                ref = reference.runs[j]
+                assert (chain.processed, chain.dropped) == (ref.processed, ref.dropped)
+                for inst, ref_inst in zip(chain.instances, ref.instances):
+                    assert (inst.processed, inst.discarded_total) == (
+                        ref_inst.processed,
+                        ref_inst.discarded_total,
+                    )
+                assert_conserved(chain)
+        assert not oracle.clamped
+        # Some frozen runs were called on elements the screen would skip.
+        assert screened > 0 and frozen_in_range > 0
+        assert_same_selection(grid.finalize(), reference.finalize())
 
 
 class CountingLogDet(LogDetOracle):
