@@ -968,6 +968,16 @@ class MemoPairCounter(PairCounter):
         return super().value(elements)
 
 
+def spy_chain_steps(monkeypatch):
+    """The chains ``ChainState.process`` is called on, in call order."""
+    stepped = []
+    process = ChainState.process
+    monkeypatch.setattr(
+        ChainState, "process", lambda chain, e: stepped.append(chain) or process(chain, e)
+    )
+    return stepped
+
+
 def assert_same_grid(session, reference):
     assert session.engine.stats() == reference.stats()
     assert session.engine.high_water == reference.high_water
@@ -1124,11 +1134,7 @@ class TestDensityScreen:
         constraint = CountingMatroid(2)
         knapsacks = CountingKnapsacks(1)
         grid = GridState(oracle, constraint, knapsacks, k=2)
-        stepped = []
-        process = ChainState.process
-        monkeypatch.setattr(
-            ChainState, "process", lambda chain, e: stepped.append(chain) or process(chain, e)
-        )
+        stepped = spy_chain_steps(monkeypatch)
         first = costed(0, 0.5)
         grid.process(first)
         runs = list(grid.runs.values())
@@ -1203,11 +1209,7 @@ class TestDensityScreen:
         matrix = features @ features.T + 0.2 * np.eye(n)
         kernel = DppKernel(matrix, offset=suggest_logdet_offset(matrix))
         elements = [costed(i, rng.uniform(0.1, 0.4)) for i in range(n)]
-        stepped = []
-        process = ChainState.process
-        monkeypatch.setattr(
-            ChainState, "process", lambda chain, e: stepped.append(chain) or process(chain, e)
-        )
+        stepped = spy_chain_steps(monkeypatch)
         oracle = LogDetOracle(kernel)
         grid = GridState(oracle, UniformMatroid(1 << 30), KnapsackSpec(1))
         reference = ReferenceGrid(
