@@ -15,7 +15,7 @@ candidate; the solution it then holds for good is the other one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constraints import IndependenceOracle, KnapsackSpec, Solution, exchange_candidates
 from .errors import PreconditionError
@@ -26,8 +26,7 @@ from .objectives import GAIN_TOL, Element, ValueOracle
 _ABOVE_GAIN_TOL = math.nextafter(GAIN_TOL, math.inf)
 
 
-@dataclass(frozen=True)
-class ProcessOutcome:
+class ProcessOutcome(NamedTuple):
     accepted: bool
     discarded: frozenset[Element]
 
@@ -58,6 +57,10 @@ class IndStreamInstance:
         self._solution = Solution()
         self._value = oracle.value(frozenset())
         self._overflow: Element | None = None
+        # Each blocked exchange answer since the last commit -> the members
+        # it evicts and the gain they ask of a newcomer. Exact while no
+        # held weight or member changes, that is, until the next commit.
+        self._swaps: dict[tuple[frozenset[Element], ...], tuple[frozenset, float]] = {}
 
         self.processed = 0
         self.accept_events = 0
@@ -106,6 +109,7 @@ class IndStreamInstance:
     def _commit(
         self, e: Element, gain: float, evicted: frozenset[Element]
     ) -> ProcessOutcome:
+        self._swaps.clear()
         for x in evicted:
             del self._weights[x]
         self._weights[e] = gain
@@ -158,11 +162,17 @@ class IndStreamInstance:
             return self._reject(e)
         if per_part[0]:
             # The cheapest member of each blocked part makes way for e,
-            # which must gain at least twice their weight.
-            evicted = frozenset(
-                min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
-            )
-            floor = 2.0 * sum(self._weights[x] for x in evicted)
+            # which must gain at least twice their weight; priced once per
+            # answer between commits.
+            key = tuple(per_part)
+            priced = self._swaps.get(key)
+            if priced is None:
+                evicted = frozenset(
+                    min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
+                )
+                floor = 2.0 * sum(self._weights[x] for x in evicted)
+                priced = self._swaps[key] = (evicted, floor)
+            evicted, floor = priced
         else:
             # [empty set]: e fits as it is, and must gain more than GAIN_TOL.
             evicted = frozenset()
@@ -183,6 +193,7 @@ class IndStreamInstance:
                 # Theorem-2 fallback pair: the solution held from now on, as
                 # it was just before the overflow, and the overflowing element.
                 self._overflow = e
+                self._swaps.clear()
                 self._note_memory()
                 return self._reject(e)
 

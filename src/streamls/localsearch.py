@@ -47,7 +47,8 @@ _SCREEN_REL = 1e-9
 _MAX_RUNS = 10_000
 
 
-# A solution's pruned set and that set's value, keyed by the solution.
+# A solution's pruned set and that set's value, keyed by a plain copy of
+# the solution's content.
 Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
 
 
@@ -65,16 +66,11 @@ def _prune(
     entry is what a fresh pass returns, bit for bit. The rest are pruned
     in one lockstep pass and their cuts evaluated in one ``values`` call.
     """
-    used: Memo = {}
-    fresh: dict[frozenset[Element], None] = {}
-    for chain in chains:
-        for inst in chain.instances:
-            solution = inst.current_solution()
-            entry = memo.get(solution)
-            if entry is None:
-                fresh[solution] = None
-            else:
-                used[solution] = entry
+    live = {inst.current_solution(): None for c in chains for inst in c.instances}
+    used: Memo = {key: entry for key, entry in memo.items() if key in live}
+    # Plain copies, so the memo keeps no Solution, nor its bound vector,
+    # past the solution's commit. A copy reuses the stored hashes.
+    fresh = [frozenset(solution) for solution in live if solution not in used]
     if fresh:
         cuts = unconstrained_max_many(oracle, fresh, prune)
         used.update(zip(fresh, zip(cuts, oracle.values(cuts))))
@@ -246,17 +242,27 @@ class ChainState:
             self._pass_through()
             return
         self.processed += 1
-        changed = False  # whether an instance committed or froze
-        batch: list[Element] = [e]
+        # Whether an instance committed or froze. A freeze on x leaves x
+        # as the instance's overflow record.
+        changed = False
+        batch: Collection[Element] = (e,)
         for inst in self.instances:
-            was_frozen = inst.frozen
-            discarded: list[Element] = []
-            for x in batch if len(batch) == 1 else sorted(batch, key=lambda el: el.id):
+            if len(batch) == 1:
+                # A reject hands the one element on as it came.
+                (x,) = batch
                 outcome = inst.process(x)
-                changed = changed or outcome.accepted
-                discarded.extend(outcome.discarded)
-            changed = changed or inst.frozen != was_frozen
-            batch = discarded
+                if outcome.accepted:
+                    changed = True
+                    batch = outcome.discarded
+                elif inst.overflow_record() is x:
+                    changed = True
+            else:
+                discarded: list[Element] = []
+                for x in sorted(batch, key=lambda el: el.id):
+                    outcome = inst.process(x)
+                    changed = changed or outcome.accepted or inst.overflow_record() is x
+                    discarded.extend(outcome.discarded)
+                batch = discarded
             if not batch:
                 break
         self.dropped += len(batch)

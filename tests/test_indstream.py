@@ -23,7 +23,10 @@ from streamls import (
     UniformMatroid,
     brute_opt,
 )
+import streamls.indstream as indstream
 from streamls.constraints import Solution
+from streamls.indstream import _ABOVE_GAIN_TOL, exchange_candidates
+from streamls.objectives import suggest_logdet_offset
 from streamls.verify import random_instance
 
 
@@ -329,3 +332,163 @@ class TestHeldSolution:
         # Nothing commits after the freeze: the held object stays.
         inst.process(costed(10**6, 0.0))
         assert inst.current_solution() is s and inst.held == 7
+
+
+class UncachedInstance(IndStreamInstance):
+    """``IndStreamInstance.process`` as it stood before swaps were priced
+    once per exchange answer: every blocked step searches its eviction
+    afresh. The body is a verbatim copy."""
+
+    def process(self, e):
+        rho, knapsacks = self.rho, self.knapsacks
+        self.processed += 1
+        if self._overflow is not None:
+            return self._reject(e)
+        if e in self._weights:
+            raise PreconditionError(f"element {e.id} is already in the solution")
+
+        s = self._solution
+        bound = self.oracle.gain_bound(s, e)
+        gain = self.oracle.value(s | {e}) - self._value if bound is None else bound
+        # The density gate. A zero-cost element passes; the swap rule
+        # below rejects it on a gain of at most GAIN_TOL, since every held
+        # weight exceeds GAIN_TOL.
+        cost = 0.0
+        if rho is not None and knapsacks is not None:
+            cost = knapsacks.total_cost(e)
+        if cost > 0.0 and gain / cost < rho:
+            return self._reject(e)
+
+        per_part = exchange_candidates(self.constraint, s, e)
+        if not per_part:
+            return self._reject(e)
+        if per_part[0]:
+            # The cheapest member of each blocked part makes way for e,
+            # which must gain at least twice their weight.
+            evicted = frozenset(
+                min(c, key=lambda x: (self._weights[x], x.id)) for c in per_part
+            )
+            floor = 2.0 * sum(self._weights[x] for x in evicted)
+        else:
+            # [empty set]: e fits as it is, and must gain more than GAIN_TOL.
+            evicted = frozenset()
+            floor = _ABOVE_GAIN_TOL
+        if gain < floor:
+            return self._reject(e)
+        if bound is not None:
+            gain = self.oracle.value(s | {e}) - self._value
+            if (cost > 0.0 and gain / cost < rho) or gain < floor:
+                return self._reject(e)
+
+        if knapsacks is not None:
+            if not knapsacks.singleton_fits(e):
+                # Cost above a unit capacity: never placeable in any
+                # solution, so it is rejected, not kept as an overflow.
+                return self._reject(e)
+            if not knapsacks.feasible((s | {e}) - evicted):
+                # Theorem-2 fallback pair: the solution held from now on, as
+                # it was just before the overflow, and the overflowing element.
+                self._overflow = e
+                self._note_memory()
+                return self._reject(e)
+
+        return self._commit(e, gain, evicted)
+
+
+def _swap_heavy_constraint(kind, rng, ids):
+    """A constraint that blocks often, and each element's label groups."""
+    if kind == "partition":
+        labels = "abc"
+        constraint = PartitionMatroid({x: rng.choice([1, 2]) for x in labels})
+        groups = [frozenset(rng.sample(labels, 1)) for _ in ids]
+    elif kind in ("matchoid-p2", "matchoid-p3"):
+        p = int(kind[-1])
+        labels = "abcde"[: p + 2]
+        parts = [(UniformMatroid(rng.choice([1, 2])), x) for x in labels]
+        constraint = Matchoid(parts, p=p)
+        groups = [frozenset(rng.sample(labels, rng.randint(1, p))) for _ in ids]
+    else:
+        # Id grounds, one part an opaque predicate: its repair set, unlike
+        # a uniform part's, depends on the element being placed.
+        def light(s):
+            return sum(1 + x.id % 3 for x in s) <= 7
+
+        first = frozenset(rng.sample(ids, len(ids) * 2 // 3))
+        second = frozenset(rng.sample(ids, len(ids) * 2 // 3))
+        constraint = Matchoid(
+            [(UniformMatroid(2), first), (PredicateOracle(light), second)]
+        )
+        groups = [frozenset()] * len(ids)
+    return constraint, groups
+
+
+def _growing_oracle(kind, seed, n):
+    """Gains that grow along the stream, so later elements swap in."""
+    rng = random.Random(seed)
+    if kind == "coverage":
+        return CoverageOracle(
+            {i: rng.sample(range(40), 1 + i * 12 // n) for i in range(n)}
+        )
+    x = np.array([[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(n)])
+    dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+    scale = np.sqrt(1.08 ** np.arange(n))
+    matrix = (2.0 * np.exp(-dist / 4.0) + 0.25 * np.eye(n)) * np.outer(scale, scale)
+    matrix = 0.5 * (matrix + matrix.T)
+    return LogDetOracle(DppKernel(matrix, offset=suggest_logdet_offset(matrix)))
+
+
+class TestSwapPricing:
+    @pytest.mark.parametrize("oracle_kind", ["coverage", "logdet"])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "constraint_kind", ["partition", "matchoid-p2", "matchoid-p3", "predicate"]
+    )
+    def test_priced_steps_match_the_unpriced_copy(
+        self, constraint_kind, d, oracle_kind, monkeypatch
+    ):
+        n = 45
+        # The priced instance's exchange answers; the copy calls its own
+        # import of exchange_candidates, which this spy leaves alone.
+        answers = []
+
+        def spy(oracle, s, e):
+            answers.append(exchange_candidates(oracle, s, e))
+            return answers[-1]
+
+        monkeypatch.setattr(indstream, "exchange_candidates", spy)
+        # Blocked steps whose answer repeats one since the instance's last
+        # commit: those the priced instance answers from its record.
+        swaps = repeats = 0
+        for trial in range(4):
+            seed = f"pricing:{constraint_kind}:{d}:{oracle_kind}:{trial}"
+            rng = random.Random(seed)
+            ids = list(range(n))
+            constraint, groups = _swap_heavy_constraint(constraint_kind, rng, ids)
+            rho = rng.choice([0.0, 1.0, 3.0]) if d else None
+            knapsacks = KnapsackSpec(d) if d else None
+            got = IndStreamInstance(
+                _growing_oracle(oracle_kind, seed, n), constraint, rho, knapsacks
+            )
+            want = UncachedInstance(
+                _growing_oracle(oracle_kind, seed, n), constraint, rho, knapsacks
+            )
+            seen = set()
+            for i in ids:
+                costs = tuple(rng.uniform(0.01, 0.12) for _ in range(d))
+                e = Element(id=i, costs=costs, groups=groups[i])
+                answers.clear()
+                outcome = got.process(e)
+                assert repr(outcome) == repr(want.process(e))
+                if answers and answers[0] and answers[0][0]:
+                    repeats += tuple(answers[0]) in seen
+                    seen.add(tuple(answers[0]))
+                if outcome.accepted or got.overflow_record() == e:
+                    seen.clear()
+                swaps += outcome.accepted and bool(outcome.discarded)
+                assert repr(list(got._weights.items())) == repr(
+                    list(want._weights.items())
+                )
+                assert repr(got.value) == repr(want.value)
+                assert repr(got.stats()) == repr(want.stats())
+                assert got.overflow_record() == want.overflow_record()
+        assert swaps > 0 and repeats > 0

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from streamls import ConfigError, Element, IndependenceOracle, ParseError
+from streamls import (
+    ConfigError,
+    CoverageOracle,
+    Element,
+    IndependenceOracle,
+    KnapsackSpec,
+    ParseError,
+    UniformMatroid,
+)
 from streamls.cli import main
 from streamls.streamio import (
     RunConfig,
@@ -224,6 +232,20 @@ class TestConfig:
         lines = [line.split("#")[0] for line in block.splitlines()]
         documented = {line.split("=")[0].strip() for line in lines if "=" in line}
         assert documented == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_readme_library_quickstart_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        after = readme.split("## Library quickstart", 1)[1]
+        block = after.split("```python", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        selection = namespace["report"].selection
+        assert UniformMatroid(8).is_independent(selection.elements)
+        assert KnapsackSpec(1).feasible(selection.elements)
+        assert selection.value == CoverageOracle(namespace["covers"]).value(
+            selection.elements
+        )
+        assert capsys.readouterr().out == f"{selection.ids} {selection.value}\n"
 
     def test_negative_knapsack_count_names_the_key(self, tmp_path):
         path = tmp_path / "run.cfg"
