@@ -41,6 +41,15 @@ _PSD_EIG_TOL = -1e-8
 # Unit roundoff of a double.
 _U = 2.0**-53
 
+# The smallest normal double. Under gradual underflow a float product or
+# quotient errs by less than this on top of its relative error.
+_TINY = 2.0**-1022
+
+# The kernel check's Lanczos steps, and the share of the smallest Ritz
+# value that its one shifted Cholesky factorization subtracts.
+_LANCZOS_STEPS = 40
+_SHIFT_SHARE = 0.9
+
 # LogDetOracle.gain_bound certifies a kernel only when its eigenvalue
 # bounds lie in this band: no pivot then comes near DET_FLOOR, and no
 # product in its proof overflows or loses more than it can afford to
@@ -236,22 +245,54 @@ class DppKernel:
         # True when every principal submatrix, in any order, is a permuted
         # copy of one and the same symmetric matrix.
         self.exactly_symmetric = asymmetry == 0.0
-        # (smallest, largest) eigenvalue as eigvalsh computed them, or None
-        # for the empty kernel; LogDetOracle.gain_bound reads them.
-        self.eigen_range: tuple[float, float] | None = None
-        if m.shape[0] > 0:
-            eigenvalues = np.linalg.eigvalsh(m)
-            self.eigen_range = (float(eigenvalues.min()), float(eigenvalues.max()))
-            if self.eigen_range[0] < _PSD_EIG_TOL:
-                raise ConfigError("kernel matrix is not positive semidefinite")
         self.set_offset(offset)
-        self.matrix = m
         self.ids = tuple(range(m.shape[0])) if ids is None else tuple(ids)
         if len(self.ids) != m.shape[0]:
             raise ConfigError("id list length must match the kernel size")
         self._index = {eid: i for i, eid in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise ConfigError("kernel ids must be distinct")
+        self.matrix = m
+        self._bound_spectrum()
+
+    def _bound_spectrum(self) -> None:
+        """Set ``eigen_range``, or raise ConfigError when the kernel is not
+        positive semidefinite to within ``_PSD_EIG_TOL``.
+
+        ``eigen_range`` is (lo, hi) with lo <= every eigenvalue <= hi, or
+        None for the empty kernel; LogDetOracle.gain_bound reads it. It
+        comes from ``_certified_bounds`` when that check is decisive: the
+        kernel is then positive definite. Otherwise eigvalsh decides, as
+        it always has, and its extremes are widened by its error bound:
+        eigvalsh is backward stable, its eigenvalues being those of L + E
+        with ||E||_2 <= p(n) u ||L||_2 for a modest p(n). p(n) = 4 n^2 is
+        the order of the worst-case bound for a Householder reduction and
+        far above the O(n) growth seen in practice.
+
+        The certificate answers only on a kernel it proves has no
+        eigenvalue below 4 n^2 u hi, with hi >= ||L||_2. Wherever eigvalsh
+        keeps its error bound, it then finds none below zero, so the two
+        paths decide alike. They could differ only in the band where
+        eigvalsh's minimum falls more than 4 n^2 u ||L||_2 + 1e-8 below
+        the true one; there the certificate accepts what eigvalsh would
+        have refused.
+        """
+        m = self.matrix
+        n = m.shape[0]
+        if n == 0:
+            self.eigen_range = None
+            return
+        # eigvalsh and cholesky read the lower triangle; so does the check.
+        lower = m if self.exactly_symmetric else np.tril(m) + np.tril(m, -1).T
+        bounds = _certified_bounds(lower)
+        if bounds is None:
+            eigenvalues = np.linalg.eigvalsh(m)
+            lo, hi = float(eigenvalues.min()), float(eigenvalues.max())
+            if lo < _PSD_EIG_TOL:
+                raise ConfigError("kernel matrix is not positive semidefinite")
+            reach = 4.0 * n * n * _U * max(abs(lo), abs(hi))
+            bounds = (lo - reach, hi + reach)
+        self.eigen_range = bounds
 
     def set_offset(self, offset: float) -> None:
         """Replace the offset; the matrix stays as it was checked."""
@@ -288,6 +329,104 @@ def _principal(matrix: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     cost less than the broadcast fancy index.
     """
     return matrix.take(idx, 0).take(idx, 1)
+
+
+def _certified_bounds(a: np.ndarray) -> tuple[float, float] | None:
+    """(lo, hi) with 0 < lo <= every eigenvalue of the symmetric ``a`` <=
+    hi, or None when this check is not decisive.
+
+    hi is the largest absolute row sum (Gershgorin), rounded up past the
+    sums' own error. For lo, Lanczos estimates the smallest eigenvalue as
+    theta, and A = fl(a - sigma I), sigma = 0.9 theta, is factored once
+    (Demmel, LAPACK Working Note 14, 1989; Rump, BIT 46, 2006). With u =
+    2^-53 and n the order: if Cholesky completes, R^T R = A + dA with
+    |dA| <= gamma_{n+1} |R^T| |R| (Higham, Thm 10.3), and sum_i |r_i|^2
+    = tr(R^T R), so ||dA||_2 <= gamma_{n+1} tr(A) / (1 - gamma_{n+1}).
+    The shift's rounding moves A by at most u max A_ii, and underflow
+    adds under n (n + 2 + max A_ii) 2^-1022. So a - sigma I + (the three)
+    is positive semidefinite, and lambda_min(a) >= sigma - delta with
+    delta = 4 (n + 2) u tr(A) + 4 n (n + 2 + max A_ii) 2^-1022, which
+    covers twice over the bound for a blocked factorization too.
+
+    The check answers only when lo = sigma - delta, rounded down, exceeds
+    4 n^2 u hi, eigvalsh's error bound (see ``DppKernel._bound_spectrum``),
+    and the factorization completes. A kernel within that bound of
+    singular, indefinite or not, is left to eigvalsh; on every kernel
+    the check answers, eigvalsh within its error bound finds no
+    eigenvalue below zero. An unconverged theta only makes the
+    factorization fail. Since hi is finite, no partial sum in Cholesky
+    overflows.
+    """
+    n = a.shape[0]
+    hi = float(np.abs(a).sum(axis=1).max()) * (1.0 + 2.0 * (n + 1) * _U)
+    if not 0.0 < hi < math.inf:
+        return None
+    sigma = _SHIFT_SHARE * _smallest_ritz(a, hi)
+    shifted = a.copy()
+    shifted.flat[:: n + 1] -= sigma
+    diag = shifted.diagonal()
+    delta = 4.0 * (n + 2) * _U * float(diag.sum()) + 4.0 * n * (
+        (n + 2 + float(diag.max())) * _TINY
+    )
+    lo = float(np.nextafter(sigma - delta, -math.inf))
+    if not lo > 4.0 * n * n * _U * hi:
+        return None
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    return lo, hi
+
+
+def _smallest_ritz(a: np.ndarray, hi: float) -> float:
+    """The smallest Ritz value of ``a`` after ``_LANCZOS_STEPS`` Lanczos
+    steps with full re-orthogonalization, ``hi`` bounding its spectrum.
+
+    The start vector is a fixed cosine, so every run makes the same
+    estimate; an all-ones start leans on the top eigenvectors of a
+    smooth kernel and converges too slowly at the bottom.
+    """
+    n = a.shape[0]
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    q = np.cos(np.arange(n) * 2.399963229728653 + 1.0)
+    q /= np.linalg.norm(q)
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(steps):
+        basis[j] = q
+        w = a @ q
+        alpha.append(float(q @ w) / hi)
+        done = basis[: j + 1]
+        # Twice: the second pass removes what the first one's rounding left.
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
+        b = float(np.linalg.norm(w))
+        if j + 1 == steps or not b > n * _U * hi:  # or q spans an invariant subspace
+            break
+        beta.append(b / hi)
+        q = w / b
+    return hi * _lowest_eigenvalue(alpha, beta)
+
+
+def _lowest_eigenvalue(alpha: list[float], beta: list[float]) -> float:
+    """The smallest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal ``alpha`` and off-diagonal ``beta``, entries at most 1 in
+    size, by bisection on the signs of its LDL^T pivots."""
+    lo, hi = -3.0, min(alpha)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        # All pivots of T - mid I positive: T - mid I is positive definite.
+        pivot = alpha[0] - mid
+        for i in range(1, len(alpha)):
+            if not pivot > 0.0:
+                break
+            pivot = alpha[i] - mid - beta[i - 1] * beta[i - 1] / pivot
+        if pivot > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def load_kernel(path: str) -> DppKernel:
@@ -388,9 +527,7 @@ class LogDetOracle(ValueOracle):
         n = kernel.matrix.shape[0]
         if kernel.eigen_range is None or not kernel.exactly_symmetric:
             return
-        lo, hi = kernel.eigen_range
-        reach = 4.0 * n * n * _U * max(abs(lo), abs(hi))
-        lam, big = lo - reach, hi + reach
+        lam, big = kernel.eigen_range
         if not (_CERT_LOW <= lam and big <= _CERT_HIGH):
             return
         kappa = big / lam
@@ -459,17 +596,17 @@ class LogDetOracle(ValueOracle):
         complement on S, and conditioning on more elements only lowers it
         (submodularity), so it is at most e's complement on any single x.
 
-        Certificate, with u = 2^-53, n the kernel's order and k = |S| + 1.
-        The kernel is exactly symmetric, so every submatrix ``value`` is
-        handed is a permuted principal submatrix M of it. eigvalsh is
-        backward stable: its eigenvalues are those of L + E with ||E||_2
-        <= p(n) u ||L||_2 for a modest p(n). Taking p(n) = 4 n^2, the
-        order of the worst-case bound for a Householder reduction and far
-        above the O(n) growth seen in practice, lam = lo - 4 n^2 u
-        max(|lo|, |hi|) and Lam = hi + the same amount bound every
-        eigenvalue of L, hence (interlacing) of M and of every Schur
-        complement in M. The certificate asks 1e-150 <= lam, Lam <= 1e150
-        and eta = 4 (k + 1)^2 u Lam / lam <= 1/4.
+        Certificate, with u = 2^-53 and k = |S| + 1. The kernel is exactly
+        symmetric, so every submatrix ``value`` is handed is a permuted
+        principal submatrix M of it. (lam, Lam) is the kernel's
+        ``eigen_range``, which bounds every eigenvalue of L (see
+        ``DppKernel._bound_spectrum``): a Lanczos estimate from a fixed
+        start vector, so the same on every run, certified by one shifted
+        Cholesky factorization and a Gershgorin row sum, or else
+        eigvalsh's extremes widened by its error bound. They bound
+        (interlacing) every eigenvalue of M and of every Schur complement
+        in M. The certificate asks 1e-150 <= lam, Lam <= 1e150 and eta =
+        4 (k + 1)^2 u Lam / lam <= 1/4.
         - Cholesky of M, when it completes, gives R^T R = M + dM with
           |dM| <= gamma_{k+1} |R^T| |R| (Higham, Thm 10.3), so ||dM||_2 <=
           gamma_{k+1} tr(M) / (1 - gamma_{k+1}) < (k + 1)^2 u Lam; the

@@ -5,7 +5,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from streamls import (
     ConfigError,
     CoverageOracle,
+    DppKernel,
     Element,
     IndependenceOracle,
     KnapsackSpec,
@@ -519,9 +519,11 @@ class TestCli:
 
     def test_run_checks_the_kernel_once(self, tmp_path, monkeypatch):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        bound_spectrum = DppKernel._bound_spectrum
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m)
+            DppKernel,
+            "_bound_spectrum",
+            lambda self: calls.append(self.matrix.shape) or bound_spectrum(self),
         )
         kernel = tmp_path / "kernel.txt"
         kernel.write_text("3\n1.5 0.2 0.1\n0.2 0.9 0.0\n0.1 0.0 0.4\n")

@@ -1004,15 +1004,32 @@ class TestGainBound:
                 oracle.gain_bound(s, outsider)
 
     def test_kernel_keeps_one_eigenvalue_range(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        checks, eig_calls = [], []
+        bound_spectrum, eigvalsh = DppKernel._bound_spectrum, np.linalg.eigvalsh
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m)
+            DppKernel,
+            "_bound_spectrum",
+            lambda self: checks.append(1) or bound_spectrum(self),
         )
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: eig_calls.append(1) or eigvalsh(m)
+        )
+        # Well conditioned: the certificate answers, and eigvalsh is not run.
         kernel = DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0))
         LogDetOracle(kernel).gain_bound(elems(1), Element(id=0))
-        assert len(calls) == 1
-        assert kernel.eigen_range == pytest.approx((1.0, 2.0), rel=1e-12)
+        assert len(checks) == 1 and not eig_calls
+        lo, hi = kernel.eigen_range
+        assert 0.85 <= lo <= 1.0 - 1e-12 and 2.0 + 1e-12 <= hi <= 2.0 * math.sqrt(6)
+        # Near singular: eigvalsh decides, and the range is its extremes
+        # widened by its error bound, exactly.
+        matrix = _spectrum_kernel(5, 10, 1e-15, 2.0)
+        kernel = DppKernel(matrix)
+        LogDetOracle(kernel).gain_bound(elems(1), Element(id=0))
+        assert len(checks) == 2 and len(eig_calls) == 1
+        eigenvalues = eigvalsh(matrix)
+        low, high = float(eigenvalues.min()), float(eigenvalues.max())
+        reach = 4.0 * 10 * 10 * objectives._U * max(abs(low), abs(high))
+        assert kernel.eigen_range == (low - reach, high + reach)
 
 
 def _reference_gain_bound(oracle, s, e):
@@ -1040,6 +1057,127 @@ def _rbf_kernel(seed, n):
     points = np.random.default_rng(seed).normal(size=(n, 3))
     dist = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-dist / 6.0) + 0.05 * np.eye(n)
+
+
+def _frame_kernel(seed, n):
+    """4 exp(-|x - y|^2 / 12) over 6-d points in scenes, plus a 0.25
+    ridge, as a video's frame kernel is; built one coordinate at a time,
+    so it is exactly symmetric and small to build at n = 1500."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(n // 40 + 1, 6))
+    points = centres.repeat(40, axis=0)[:n] + 0.3 * rng.normal(size=(n, 6))
+    dist = np.zeros((n, n))
+    for column in points.T:
+        dist += (column[:, None] - column[None, :]) ** 2
+    return 4.0 * np.exp(-dist / 12.0) + 0.25 * np.eye(n)
+
+
+@st.composite
+def _checked_kernels(draw):
+    """Full-rank, rank-deficient, duplicated-row and slightly indefinite
+    kernels of order 1-40, at unit scale or scaled by 1e-150 or 1e150."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["full", "deficient", "duplicated", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "full":
+        factors = rng.normal(size=(n, n))
+        ridge = draw(st.sampled_from([1e-6, 1e-3, 0.1, 1.0]))
+        matrix = factors @ factors.T / n + ridge * np.eye(n)
+    elif kind == "deficient":
+        factors = rng.normal(size=(n, draw(st.integers(0, n - 1)) if n > 1 else 0))
+        matrix = factors @ factors.T
+    elif kind == "duplicated":
+        factors = rng.normal(size=(n, n))
+        base = factors @ factors.T / n + 0.5 * np.eye(n)
+        rows = rng.integers(0, max(1, n // 2), size=n)
+        matrix = base[np.ix_(rows, rows)]
+    else:
+        # The smallest eigenvalue, around the refusal threshold -1e-8.
+        smallest = draw(
+            st.sampled_from([-2e-8, -1.1e-8, -9e-9, -1e-9, 1e-9, 1e-8, 2e-8])
+        )
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        spectrum = np.concatenate([[smallest], rng.uniform(0.1, 2.0, n - 1)])
+        matrix = (q * spectrum) @ q.T
+    matrix = 0.5 * (matrix + matrix.T)
+    return matrix * draw(st.sampled_from([1.0, 1e-150, 1e150]))
+
+
+class TestSpectrumBounds:
+    """The kernel check: Lanczos and one shifted Cholesky factorization,
+    with eigvalsh as the fallback when that certificate is not decisive."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_checked_kernels())
+    def test_certificate_is_rigorous_and_decides_as_eigvalsh(self, matrix):
+        n = matrix.shape[0]
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        low, high = float(eigenvalues.min()), float(eigenvalues.max())
+        # eigvalsh's error bound: the true extremes lie within it.
+        err = 4.0 * n * n * objectives._U * max(abs(low), abs(high))
+        refused = low < objectives._PSD_EIG_TOL
+        bounds = objectives._certified_bounds(matrix)
+        if bounds is not None:
+            lo, hi = bounds
+            assert 0.0 < lo <= low + err and hi >= high - err
+            # Outside the band where eigvalsh breaks its error bound, a
+            # kernel the certificate accepts is one eigvalsh accepts.
+            assert not refused
+        try:
+            kernel = DppKernel(matrix)
+        except ConfigError:
+            assert bounds is None and refused
+        else:
+            assert not refused
+            if bounds is not None:
+                assert kernel.eigen_range == bounds
+            else:
+                assert kernel.eigen_range == (low - err, high + err)
+
+    def test_large_kernel_is_certified_without_eigvalsh(self, monkeypatch):
+        matrix = _frame_kernel(1, 1500)
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        eig_calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eig_calls.append(1))
+        kernel = DppKernel(matrix)
+        assert not eig_calls
+        lo, hi = kernel.eigen_range
+        assert 0.2 <= lo <= eigenvalues.min() - 1e-9
+        assert eigenvalues.max() + 1e-9 <= hi <= 3.0 * eigenvalues.max()
+        # One fixed start vector: the same range on every build.
+        assert repr(DppKernel(matrix.copy()).eigen_range) == repr(kernel.eigen_range)
+        assert LogDetOracle(kernel)._slacks
+
+    def test_failed_factorization_falls_back_to_eigvalsh(self, monkeypatch):
+        matrix = _spectrum_kernel(5, 8, 0.5, 4.0)
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        # A shift past the smallest eigenvalue: the factorization fails.
+        monkeypatch.setattr(objectives, "_SHIFT_SHARE", 1.5)
+        assert objectives._certified_bounds(matrix) is None
+        low, high = float(eigenvalues.min()), float(eigenvalues.max())
+        reach = 4.0 * 8 * 8 * objectives._U * high
+        assert DppKernel(matrix).eigen_range == (low - reach, high + reach)
+
+    def test_check_reads_the_lower_triangle(self):
+        matrix = _spectrum_kernel(5, 8, 0.5, 4.0)
+        skewed = matrix.copy()
+        skewed[np.triu_indices(8, 1)] += 1e-10
+        kernel = DppKernel(skewed)
+        assert not kernel.exactly_symmetric
+        assert kernel.eigen_range == DppKernel(matrix).eigen_range
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(range(1499), "id list length"), ([0] * 1500, "distinct")],
+    )
+    def test_ids_are_checked_before_the_spectrum(self, monkeypatch, ids, message):
+        checks = []
+        monkeypatch.setattr(DppKernel, "_bound_spectrum", lambda self: checks.append(1))
+        with pytest.raises(ConfigError, match=message):
+            DppKernel(_frame_kernel(2, 1500), ids=list(ids))
+        with pytest.raises(ConfigError, match="offset"):
+            DppKernel(_frame_kernel(2, 40), offset=-1.0)
+        assert checks == []
 
 
 IDENTITY_KERNELS = [
