@@ -261,13 +261,16 @@ class DppKernel:
 
         ``eigen_range`` is (lo, hi) with lo <= every eigenvalue <= hi, or
         None for the empty kernel; LogDetOracle.gain_bound reads it. It
-        comes from ``_certified_bounds`` when that check is decisive: the
-        kernel is then positive definite. Otherwise eigvalsh decides, as
-        it always has, and its extremes are widened by its error bound:
-        eigvalsh is backward stable, its eigenvalues being those of L + E
-        with ||E||_2 <= p(n) u ||L||_2 for a modest p(n). p(n) = 4 n^2 is
-        the order of the worst-case bound for a Householder reduction and
-        far above the O(n) growth seen in practice.
+        comes from ``_certified_bounds`` when that check is decisive: a
+        Lanczos estimate from a fixed start vector, so every run gets the
+        same bounds, certified by one shifted Cholesky factorization and
+        a Gershgorin row sum. The kernel is then positive definite.
+        Otherwise eigvalsh decides, as it always has, and its extremes are
+        widened by its error bound: eigvalsh is backward stable, its
+        eigenvalues being those of L + E with ||E||_2 <= p(n) u ||L||_2
+        for a modest p(n). p(n) = 4 n^2 is the order of the worst-case
+        bound for a Householder reduction and far above the O(n) growth
+        seen in practice.
 
         The certificate answers only on a kernel it proves has no
         eigenvalue below 4 n^2 u hi, with hi >= ||L||_2. Wherever eigvalsh
