@@ -30,15 +30,18 @@ class Solution(frozenset):
     for its later queries; the constraint itself stays unchanged. An
     oracle's gain bound keeps its vector over the solution in ``bound``
     the same way, as (oracle, vector), or finds there (oracle, the
-    predecessor's vector, the element added) left by ``grown``. A copy
-    made with ``frozenset()`` may iterate in another order.
+    predecessor's vector, the element added) left by ``grown``. A
+    finalize keeps f of the solution in ``value`` as (oracle, f(S)) and
+    reads it back on later snapshots: a Solution always iterates in one
+    order, so it holds the bits a fresh call returns. A copy made with
+    ``frozenset()`` may iterate in another order.
     """
 
-    __slots__ = ("layout", "bound")
+    __slots__ = ("layout", "bound", "value")
 
     def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
         solution = super().__new__(cls, elements)
-        solution.layout = solution.bound = None
+        solution.layout = solution.bound = solution.value = None
         return solution
 
     def grown(self, elements: Iterable[Element], e: Element) -> Solution:

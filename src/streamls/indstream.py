@@ -57,6 +57,9 @@ class IndStreamInstance:
         self._solution = Solution()
         self._value = oracle.value(frozenset())
         self._overflow: Element | None = None
+        # The overflowing element alone and f of it, as the first finalize
+        # after the freeze evaluates them; both are fixed from then on.
+        self.overflow_alone: tuple[frozenset[Element], float] | None = None
         # Each blocked exchange answer since the last commit -> the members
         # it evicts and the gain they ask of a newcomer. Exact while no
         # held weight or member changes, that is, until the next commit.

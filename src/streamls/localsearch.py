@@ -182,6 +182,17 @@ class Selection:
         return tuple(sorted(e.id for e in self.elements))
 
 
+# A finalize's best candidate: the set, its value and its instance.
+Candidate = tuple[frozenset[Element], float, IndStreamInstance]
+
+
+def _selection(best: Candidate) -> Selection:
+    cand, value, inst = best
+    # A frozenset() copy of the Solution may reorder it.
+    plain = inst.solution_copy() if cand is inst.current_solution() else cand
+    return Selection(plain, value)
+
+
 class ChainState:
     """q chained backbone instances with discarded-element routing.
 
@@ -269,36 +280,45 @@ class ChainState:
         if changed:
             self._recount()
 
-    def finalize(self, pruned: Memo | None = None) -> Selection:
+    def finalize(self) -> Selection:
         """Best of all instance solutions and their pruned variants.
 
-        The stream may continue afterwards. ``pruned`` maps each solution
-        to its pruned set and that set's value (see ``_prune``). A
-        standalone chain builds it from its own memo and keeps it as the
-        next one, so a snapshot replaces the memo and must not race
-        another; a grid passes the one it built for all its runs. Ties
-        keep the earliest candidate (lowest instance, constrained before
-        pruned).
+        The stream may continue afterwards. The chain prunes with its own
+        memo and keeps the result as the next one (see ``_prune``), so a
+        snapshot replaces the memo and must not race another. Ties keep
+        the earliest candidate: lowest instance, then its solution, the
+        solution pruned, the overflowing element alone.
         """
-        if pruned is None:
-            pruned = self._memo = _prune(self.oracle, self.prune, [self], self._memo)
-        value = self.oracle.value
-        best: tuple[frozenset[Element], float, IndStreamInstance] | None = None
+        self._memo = _prune(self.oracle, self.prune, [self], self._memo)
+        return _selection(self._best(self._memo))
+
+    def _best(self, pruned: Memo) -> Candidate:
+        """The candidate ``finalize`` selects, with its value and instance;
+        ``pruned`` maps each solution to its pruned set and that set's value.
+
+        f of each solution is kept on it, and f of a frozen instance's
+        overflowing element alone on the instance, so a later finalize
+        asks for neither again.
+        """
+        oracle = self.oracle
+        best: Candidate | None = None
         for inst in self.instances:
             solution = inst.current_solution()
-            candidates = [(solution, value(solution)), pruned[solution]]
+            kept = solution.value
+            if kept is None or kept[0] is not oracle:
+                kept = solution.value = (oracle, oracle.value(solution))
+            candidates = [(solution, kept[1]), pruned[solution]]
             last = inst.overflow_record()
             if last is not None:  # then the solution is the pre-overflow one
-                alone = frozenset((last,))
-                candidates.append((alone, value(alone)))
+                if inst.overflow_alone is None:
+                    alone = frozenset((last,))
+                    inst.overflow_alone = (alone, oracle.value(alone))
+                candidates.append(inst.overflow_alone)
             for cand, cand_value in candidates:
                 if best is None or cand_value > best[1]:
                     best = (cand, cand_value, inst)
         assert best is not None
-        cand, cand_value, inst = best
-        # A frozenset() copy of the Solution may reorder it.
-        plain = inst.solution_copy() if cand is inst.current_solution() else cand
-        return Selection(plain, cand_value)
+        return best
 
     def stats(self) -> dict:
         return {
@@ -351,9 +371,11 @@ class GridState:
         # one the hint covers; ``process`` checks each.
         self._check_hint = k is None
         if k is None:
-            k = constraint.rank_hint
-        if k is None or k < 1:
-            raise ConfigError("k (bound on the largest feasible solution) is required")
+            if constraint.rank_hint is None:
+                raise ConfigError("k (bound on the largest feasible solution) is required")
+            # A hint of 0 makes every covered element infeasible; k = 1
+            # bounds that as well.
+            k = max(constraint.rank_hint, 1)
         # The window is [log(gamma), log(gamma) + log(k)] in units of
         # log1p(eps), with log(gamma) = log(2 * bound) + log(m).
         self._log_base = math.log1p(eps)
@@ -490,22 +512,26 @@ class GridState:
         self.high_water = max(self.high_water, held)
 
     def finalize(self) -> Selection:
-        """Best run result versus the best feasible singleton."""
+        """Best run candidate versus the best feasible singleton.
+
+        Ties keep the earliest run's candidate, and a run's over the
+        singleton. Only the winner is built into a ``Selection``.
+        """
         if self._step_memo is not None:
             self._step_memo.clear()
         pruned = self._memo = _prune(
             self._evaluator, self.prune, self.runs.values(), self._memo
         )
-        best: Selection | None = None
+        best: Candidate | None = None
         for chain in self.runs.values():
-            candidate = chain.finalize(pruned)
-            if best is None or candidate.value > best.value:
-                best = candidate
-        if self.e_m is not None and (best is None or self.m > best.value):
-            best = Selection(frozenset({self.e_m}), self.m)
+            found = chain._best(pruned)
+            if best is None or found[1] > best[1]:
+                best = found
+        if self.e_m is not None and (best is None or self.m > best[1]):
+            return Selection(frozenset({self.e_m}), self.m)
         if best is None:
-            best = Selection(frozenset(), self._empty)
-        return best
+            return Selection(frozenset(), self._empty)
+        return _selection(best)
 
     def _sync(self) -> None:
         """Count into each run the elements routed to it uncalled."""

@@ -620,6 +620,39 @@ class TestCli:
             assert code == 0
             assert "value = 100.0" in captured.out
 
+    @pytest.mark.parametrize("k", ["auto", "1"])
+    @pytest.mark.parametrize(
+        "knapsacks", ["", "knapsacks = 1\ncapacities = 1.0\n"], ids=["chain", "grid"]
+    )
+    def test_run_auto_k_takes_a_rank_hint_of_zero(self, tmp_path, capsys, knapsacks, k):
+        # uniform:0 hints rank 0: no element is ever feasible, and k = 1
+        # bounds that as well as any k.
+        stream = _write_stream(tmp_path, ["0,0.2,a", "1,0.3,b"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = uniform:0\n"
+            f"{knapsacks}k = {k}\n",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "selected = []\n" in out
+        assert "value = 0.0\n" in out
+
+    def test_run_auto_k_refuses_an_empty_matchoid_at_its_first_element(
+        self, tmp_path, capsys
+    ):
+        # A matchoid of no parts hints rank 0 but bounds no element.
+        stream = _write_stream(tmp_path, ["0,0.2,a"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = matchoid:p=1\n"
+            "knapsacks = 1\nk = auto\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "element 0 is not bounded by the constraint's rank hint" in err
+        assert "set k explicitly" in err
+
     def test_run_decomposable_objective(self, tmp_path):
         rows = [f"{i},0.1,g{i % 3}" for i in range(9)]
         stream = _write_stream(tmp_path, rows)

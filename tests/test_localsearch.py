@@ -39,6 +39,7 @@ from streamls import (
     guarantee_bound,
 )
 import streamls.indstream as indstream
+from streamls.constraints import Solution
 import streamls.localsearch as localsearch
 import streamls.unconstrained as unconstrained
 from streamls.indstream import IndStreamInstance
@@ -367,6 +368,17 @@ class TestGrid:
                 PredicateOracle(lambda s: True, swap_alpha=0.25),
                 KnapsackSpec(1),
             )
+
+    def test_auto_k_reads_a_rank_hint_of_zero_as_one(self):
+        grid = GridState(ModularOracle({0: 1.0}), UniformMatroid(0), KnapsackSpec(1))
+        assert grid.k == 1
+        grid.process(costed(0, 0.5))
+        assert grid.finalize() == Selection(frozenset(), 0.0)
+        # An empty partition hints 0 as well, but bounds no element.
+        grid = GridState(ModularOracle({0: 1.0}), PartitionMatroid({}), KnapsackSpec(1))
+        assert grid.k == 1
+        with pytest.raises(DomainError, match="element 0 .*set k explicitly"):
+            grid.process(costed(0, 0.5))
 
     def test_auto_k_refuses_an_element_outside_every_part(self):
         oracle = ModularOracle({0: 1.0, 1: 1.0})
@@ -1361,9 +1373,57 @@ class TestStepMemo:
         assert all(c.oracle is oracle for c in session.engine.runs.values())
 
 
-def live_solutions(engine):
+def held_solutions(engine):
+    """Each instance of the engine with the Solution object it holds."""
     chains = engine.runs.values() if isinstance(engine, GridState) else [engine]
-    return {inst.current_solution() for chain in chains for inst in chain.instances}
+    return [(inst, inst.current_solution()) for c in chains for inst in c.instances]
+
+
+def live_solutions(engine):
+    return {solution for _, solution in held_solutions(engine)}
+
+
+def sorted_ids(elements):
+    return sorted(e.id for e in elements)
+
+
+class AskSpy:
+    """Records the sets a finalize asks the engine's chain oracle for
+    outside the pruning pass, and counts the pruning passes' value calls
+    (the chain oracle is a grid's step memo when it has one)."""
+
+    def __init__(self, monkeypatch, engine):
+        self.clear()
+        self._pruning = False
+        oracle = engine._evaluator if isinstance(engine, GridState) else engine.oracle
+        value, values, prune = oracle.value, oracle.values, localsearch._prune
+
+        def asked(elements):
+            if self._pruning:
+                self.pruned += 1
+            else:
+                self.sets.append(elements)
+            return value(elements)
+
+        def asked_many(sets):
+            if self._pruning:
+                self.pruned += len(sets)
+            return values(sets)
+
+        def pruning(*args):
+            self._pruning = True
+            try:
+                return prune(*args)
+            finally:
+                self._pruning = False
+
+        monkeypatch.setattr(oracle, "value", asked)
+        monkeypatch.setattr(oracle, "values", asked_many)
+        monkeypatch.setattr(localsearch, "_prune", pruning)
+
+    def clear(self):
+        self.sets = []
+        self.pruned = 0
 
 
 class PruneSpy:
@@ -1425,14 +1485,42 @@ class TestPruningMemo:
         session = StreamingSession(
             instance.oracle, instance.constraint, instance.knapsacks, k=instance.k
         )
+        engine = session.engine
+        spy = PruneSpy(monkeypatch)
+        asks = AskSpy(monkeypatch, engine)
+        commits = pruned = 0
+        # The solutions the last snapshot saw, and its frozen instances.
+        before, frozen = [], set()
         for e in instance.elements:
             session.push(e)
-        spy = PruneSpy(monkeypatch)
-        first = session.snapshot()
-        assert spy.calls > 0
-        spy.calls = 0
-        assert session.snapshot() == first
-        assert spy.calls == 0
+            after = held_solutions(engine)
+            # Solutions no instance held at the last snapshot: commits, and
+            # the empty ones of new instances.
+            fresh = [s for _, s in after if not any(s is b for _, b in before)]
+            froze = [
+                frozenset({inst.overflow_record()})
+                for inst, _ in after
+                if inst.frozen and id(inst) not in frozen
+            ]
+            commits += any(len(s) for s in fresh)
+            spy.calls = 0
+            asks.clear()
+            first = session.snapshot()
+            pruned += spy.calls
+            # Outside the pruning pass, the snapshot evaluates each new
+            # solution once and each new overflowing element alone once.
+            solutions = [s for s in asks.sets if type(s) is Solution]
+            assert sorted(map(id, solutions)) == sorted(map(id, fresh))
+            others = [s for s in asks.sets if type(s) is not Solution]
+            assert sorted(map(sorted_ids, others)) == sorted(map(sorted_ids, froze))
+            spy.calls = 0
+            asks.clear()
+            assert session.snapshot() == first
+            assert spy.calls == 0
+            assert asks.sets == [] and asks.pruned == 0
+            before = after
+            frozen = {id(inst) for inst, _ in after if inst.frozen}
+        assert commits > 0 and pruned > 0
 
 
     @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
@@ -1595,3 +1683,144 @@ class TestClampWarningSite:
         assert sites[0] == unconstrained.__file__
         # The rest name double greedy or the candidate loop, never an oracle.
         assert set(sites) <= {unconstrained.__file__, localsearch.__file__}
+
+
+def clamp_warnings(caught):
+    return sum(w.category is RuntimeWarning for w in caught)
+
+
+class TestSnapshotValues:
+    """A snapshot evaluates each held solution, and each overflowing
+    element alone, once: at the first finalize that sees it. It selects
+    what the uncached finalize of ``ReferenceChain`` and ``ReferenceGrid``
+    selects, to the last bit."""
+
+    def test_a_freeze_after_a_snapshot_offers_the_overflowing_element(self, monkeypatch):
+        # Elements 0, 1 and 2 cover one item each, and each instance takes
+        # one of them. Element 3, worth 10 alone, then overflows all three
+        # instances, which freeze on it without a commit.
+        covers = {0: ["a"], 1: ["a"], 2: ["a"], 3: [f"b{i}" for i in range(10)]}
+        chain, reference = chains = [
+            cls(CoverageOracle(covers), UniformMatroid(5), rho=0.1, knapsacks=KnapsackSpec(1))
+            for cls in (ChainState, ReferenceChain)
+        ]
+        asks = AskSpy(monkeypatch, chain)
+        for i in range(3):
+            for c in chains:
+                c.process(costed(i, 0.6))
+        assert [sorted_ids(inst.current_solution()) for inst in chain.instances] == [
+            [0], [1], [2]
+        ]
+        assert_same_selection(chain.finalize(), reference.finalize())
+        solutions = [inst.current_solution() for inst in chain.instances]
+        last = costed(3, 0.6)
+        for c in chains:
+            c.process(last)
+        assert all(inst.frozen for inst in chain.instances)
+        assert all(
+            inst.current_solution() is s for inst, s in zip(chain.instances, solutions)
+        )
+        asks.clear()
+        got = chain.finalize()
+        # Only the overflowing element alone is new, once per instance.
+        assert asks.sets == [frozenset({last})] * 3 and asks.pruned == 0
+        assert (got.ids, got.value) == ((3,), 10.0)
+        assert_same_selection(got, reference.finalize())
+        asks.clear()
+        assert chain.finalize() == got
+        assert asks.sets == [] and asks.pruned == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_grid_offers_each_overflow_a_snapshot_missed(self, d, monkeypatch):
+        # Coverage grids snapshotted after every push; trial 11 of each d
+        # selects an overflowing element that froze its instance after the
+        # last snapshot, without a commit.
+        trapped = 0
+        for trial in range(12):
+            rng = random.Random(f"trap:{d}:{trial}")
+            instance = random_instance(rng, d=d, kinds=("coverage",))
+            options = dict(k=instance.k, eps=0.2)
+            args = (instance.oracle, instance.constraint, instance.knapsacks)
+            session = StreamingSession(*args, **options)
+            reference = ReferenceGrid(*args, **options)
+            asks = AskSpy(monkeypatch, session.engine)
+            # Instance id -> its solution, whether it was frozen, and the
+            # instance itself (so its id is not reused), at the last snapshot.
+            seen = {}
+            for e in instance.elements:
+                session.push(e)
+                reference.process(e)
+                asks.clear()
+                got = session.snapshot()
+                asked = [s for s in asks.sets if type(s) is not Solution]
+                for inst, solution in held_solutions(session.engine):
+                    was = seen.get(id(inst))
+                    if inst.frozen and was and was[0] is solution and not was[1]:
+                        trapped += 1
+                        assert frozenset({inst.overflow_record()}) in asked
+                assert_same_selection(got, reference.finalize())
+                seen = {
+                    id(inst): (solution, inst.frozen, inst)
+                    for inst, solution in held_solutions(session.engine)
+                }
+            monkeypatch.undo()
+        assert trapped > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_clamping_grid_matches_the_uncached_reference(self, d):
+        n = 14
+        rng = random.Random(f"clamping:grid:{d}")
+        matrix, offset = _screen_kernel("clamping", n, rng.randrange(1 << 30))
+        kernel = DppKernel(matrix, offset=offset)
+        elements = [
+            Element(id=i, costs=tuple(rng.uniform(0.05, 0.5) for _ in range(d)))
+            for i in range(n)
+        ]
+        rng.shuffle(elements)
+        oracles = LogDetOracle(kernel), LogDetOracle(kernel)
+        session = StreamingSession(oracles[0], UniformMatroid(4), KnapsackSpec(d), k=4)
+        reference = ReferenceGrid(oracles[1], UniformMatroid(4), KnapsackSpec(d), k=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for e in elements:
+                session.push(e)
+                reference.process(e)
+                assert_same_selection(session.snapshot(), reference.finalize())
+            assert_same_selection(session.close().selection, reference.finalize())
+        assert all(oracle.clamped for oracle in oracles)
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_a_cached_set_warns_at_its_first_evaluation_only(self, d):
+        # As in TestClampWarningSite: every element is kept on a diagonal
+        # kernel, and twins 0 and 1 then make every held solution clamp.
+        oracles = [LogDetOracle(DppKernel(np.diag([4.0, 4.0, 2.0]))) for _ in range(2)]
+        knapsacks = KnapsackSpec(d) if d else None
+        session = StreamingSession(oracles[0], UniformMatroid(3), knapsacks, k=3)
+        if d:
+            reference = ReferenceGrid(oracles[1], UniformMatroid(3), knapsacks, k=3)
+        else:
+            reference = ReferenceChain(oracles[1], UniformMatroid(3))
+        for i in range(3):
+            e = Element(id=i, costs=(0.2,) * d)
+            session.push(e)
+            reference.process(e)
+        twins = DppKernel(np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 2.0]]))
+        for oracle in oracles:
+            oracle.kernel = twins
+        counts = []
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = session.snapshot()
+            with warnings.catch_warnings(record=True) as uncached:
+                warnings.simplefilter("always")
+                want = reference.finalize()
+            assert_same_selection(got, want)
+            counts.append((clamp_warnings(caught), clamp_warnings(uncached)))
+        # The uncached finalize warns alike on every call; the session warns
+        # at its first snapshot only, where each clamped set is first asked.
+        (first, uncached_first), *later = counts
+        assert first > 0 and uncached_first > 0
+        assert [c for c, _ in later] == [0, 0]
+        assert [u for _, u in later] == [uncached_first] * 2
+        assert all(oracle.clamped for oracle in oracles)
