@@ -18,6 +18,12 @@ from .objectives import Element
 # Slack guarding float summation of normalized costs.
 KNAPSACK_SLACK = 1e-12
 
+# What ``KnapsackSpec.feasible`` compares each load with.
+_CAPACITY = 1.0 + KNAPSACK_SLACK
+
+# Unit roundoff of a double.
+_U = 2.0**-53
+
 # An exchange answer: [empty set] (e fits), a set per blocked part, or [].
 Repairs = list[frozenset[Element]]
 
@@ -34,23 +40,28 @@ class Solution(frozenset):
     finalize keeps f of the solution in ``value`` as (oracle, f(S)) and
     reads it back on later snapshots: a Solution always iterates in one
     order, so it holds the bits a fresh call returns. A copy made with
-    ``frozenset()`` may iterate in another order.
+    ``frozenset()`` may iterate in another order. A knapsack spec keeps
+    the solution's per-knapsack loads in ``loads`` as (spec, loads).
     """
 
-    __slots__ = ("layout", "bound", "value")
+    __slots__ = ("layout", "bound", "value", "loads")
 
     def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
         solution = super().__new__(cls, elements)
-        solution.layout = solution.bound = solution.value = None
+        solution.layout = solution.bound = solution.value = solution.loads = None
         return solution
 
     def grown(self, elements: Iterable[Element], e: Element) -> Solution:
         """``elements``, this set plus ``e``, as a Solution that keeps this
-        one's bound vector and ``e`` to grow it from, but not this one."""
+        one's bound vector and ``e`` to grow it from, but not this one, and
+        this one's loads plus e's costs."""
         solution = Solution(elements)
         kept = self.bound
         if kept is not None and len(kept) == 2:
             solution.bound = (*kept, e)
+        loads = self.loads
+        if loads is not None:
+            solution.loads = (loads[0], [t + c for t, c in zip(loads[1], e.costs)])
         return solution
 
 
@@ -273,6 +284,9 @@ class KnapsackSpec:
         if d < 0:
             raise ConfigError("knapsack count must be non-negative")
         self.d = int(d)
+        # The last element ``facts`` was asked about, and its answer.
+        self._last: Element | None = None
+        self._facts = (0.0, True)
 
     def _costs(self, e: Element) -> tuple[float, ...]:
         if len(e.costs) != self.d:
@@ -282,18 +296,75 @@ class KnapsackSpec:
         return e.costs
 
     def feasible(self, elements: AbstractSet[Element]) -> bool:
+        return all(t <= _CAPACITY for t in self._loads(elements))
+
+    def _loads(self, elements: Iterable[Element]) -> list[float]:
         totals = [0.0] * self.d
         for e in elements:
             for j, c in enumerate(self._costs(e)):
                 totals[j] += c
-        return all(t <= 1.0 + KNAPSACK_SLACK for t in totals)
+        return totals
 
     def singleton_fits(self, e: Element) -> bool:
-        return all(c <= 1.0 + KNAPSACK_SLACK for c in self._costs(e))
+        return all(c <= _CAPACITY for c in self._costs(e))
 
     def total_cost(self, e: Element) -> float:
         """Sum of the element's costs across all knapsacks."""
         return float(sum(self._costs(e)))
+
+    def facts(self, e: Element) -> tuple[float, bool]:
+        """``total_cost(e)`` and ``singleton_fits(e)``, once e's costs pass
+        ``cost_problem``; a DomainError with its message otherwise.
+
+        Kept for the last element asked about, so every run and instance a
+        push reaches reads them from the one computation.
+        """
+        if e is not self._last:
+            problem = cost_problem(e.id, self._costs(e))
+            if problem is not None:
+                raise DomainError(problem)
+            self._facts = (self.total_cost(e), self.singleton_fits(e))
+            self._last = e
+        return self._facts
+
+    def fits_with(
+        self, s: AbstractSet[Element], e: Element, evicted: AbstractSet[Element]
+    ) -> bool:
+        """``feasible((s | {e}) - evicted)``, for an ``e`` that ``facts``
+        passed, decided from the loads kept on a ``Solution`` ``s`` unless
+        they put the answer in a rounding band.
+
+        A Solution's loads are summed as ``feasible`` sums at its first
+        query, and ``grown`` adds one element's costs to them, so each is a
+        float sum of the costs in ``s`` in some order. With every cost
+        finite and non-negative, that sum and ``feasible``'s sum over the
+        new set each err from the exact one by at most about |s| u times
+        the load with e added (u the unit roundoff), and adding e and
+        taking the evicted costs off adds (1 + |evicted|) u times it. The
+        band, 4 (|s| + 1) u (load with e + 1) on each side of
+        1 + KNAPSACK_SLACK, is twice their sum with room for the rounding
+        of the comparison. Inside it, or when a load is not finite,
+        ``feasible`` decides.
+        """
+        if type(s) is not Solution:
+            return self.feasible((s | {e}) - evicted)
+        kept = s.loads
+        if kept is None or kept[0] is not self:
+            kept = s.loads = (self, self._loads(s))
+        scale = 4.0 * _U * (len(s) + 1)
+        decided = True
+        for j, (load, c) in enumerate(zip(kept[1], self._costs(e))):
+            top = load + c
+            band = scale * (top + 1.0)
+            if top <= _CAPACITY - band:
+                continue  # fits before any eviction, so after it
+            for x in evicted:
+                top -= x.costs[j]
+            if top > _CAPACITY + band:
+                return False
+            if not top <= _CAPACITY - band:
+                decided = False  # in the band, or not finite
+        return decided or self.feasible((s | {e}) - evicted)
 
 
 def cost_problem(eid: int, costs: Sequence[float]) -> str | None:

@@ -155,8 +155,10 @@ class IndStreamInstance:
         # below rejects it on a gain of at most GAIN_TOL, since every held
         # weight exceeds GAIN_TOL.
         cost = 0.0
-        if rho is not None and knapsacks is not None:
-            cost = knapsacks.total_cost(e)
+        if knapsacks is not None:
+            total, fits = knapsacks.facts(e)
+            if rho is not None:
+                cost = total
         if cost > 0.0 and gain / cost < rho:
             return self._reject(e)
 
@@ -188,11 +190,11 @@ class IndStreamInstance:
                 return self._reject(e)
 
         if knapsacks is not None:
-            if not knapsacks.singleton_fits(e):
+            if not fits:
                 # Cost above a unit capacity: never placeable in any
                 # solution, so it is rejected, not kept as an overflow.
                 return self._reject(e)
-            if not knapsacks.feasible((s | {e}) - evicted):
+            if not knapsacks.fits_with(s, e, evicted):
                 # Theorem-2 fallback pair: the solution held from now on, as
                 # it was just before the overflow, and the overflowing element.
                 self._overflow = e

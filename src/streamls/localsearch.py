@@ -229,14 +229,35 @@ class ChainState:
         self.dropped = 0
         self.high_water = 0
         self._memo: Memo = {}
+        # ``_best``'s result, once every instance is frozen: it can no
+        # longer change, so no later finalize prunes or walks the run.
+        self._final: Candidate | None = None
         self._recount()
 
     def _recount(self) -> None:
-        """Refresh what only an instance's commit or freeze can change."""
-        self.held = sum(inst.held for inst in self.instances)
-        self.high_water = max(self.high_water, self.held)
-        self._all_frozen = all(inst.frozen for inst in self.instances)
-        self._slack = _SCREEN_REL * max(abs(inst.value) for inst in self.instances)
+        """Refresh what only an instance's commit or freeze can change:
+        ``held``, the peak, ``_all_frozen`` and the screen's ``_slack``.
+
+        One pass over the instances' fields. The largest |value| is kept
+        as ``max`` keeps it: the first instance's when it is nan.
+        """
+        held = 0
+        all_frozen = True
+        top = abs(self.instances[0]._value)
+        for inst in self.instances:
+            held += len(inst._weights)
+            if inst._overflow is None:
+                all_frozen = False
+            else:
+                held += 1
+            size = abs(inst._value)
+            if size > top:
+                top = size
+        self.held = held
+        if held > self.high_water:
+            self.high_water = held
+        self._all_frozen = all_frozen
+        self._slack = _SCREEN_REL * top
 
     def _pass_through(self, n: int = 1) -> None:
         """Count ``n`` elements as processed, rejected by every instance
@@ -289,7 +310,8 @@ class ChainState:
         the earliest candidate: lowest instance, then its solution, the
         solution pruned, the overflowing element alone.
         """
-        self._memo = _prune(self.oracle, self.prune, [self], self._memo)
+        if self._final is None:
+            self._memo = _prune(self.oracle, self.prune, [self], self._memo)
         return _selection(self._best(self._memo))
 
     def _best(self, pruned: Memo) -> Candidate:
@@ -298,8 +320,11 @@ class ChainState:
 
         f of each solution is kept on it, and f of a frozen instance's
         overflowing element alone on the instance, so a later finalize
-        asks for neither again.
+        asks for neither again. Once every instance is frozen, the result
+        itself is kept, and ``pruned`` need not hold the run's solutions.
         """
+        if self._final is not None:
+            return self._final
         oracle = self.oracle
         best: Candidate | None = None
         for inst in self.instances:
@@ -318,6 +343,8 @@ class ChainState:
                 if best is None or cand_value > best[1]:
                     best = (cand, cand_value, inst)
         assert best is not None
+        if self._all_frozen:
+            self._final = best
         return best
 
     def stats(self) -> dict:
@@ -474,10 +501,11 @@ class GridState:
                 f"element {e.id} is not bounded by the constraint's rank hint,"
                 " so k = auto does not hold; set k explicitly"
             )
+        cost, fits = self.knapsacks.facts(e)
         self.processed += 1
         if self._step_memo is not None:
             self._step_memo.clear()
-        if not self.knapsacks.singleton_fits(e):
+        if not fits:
             # Above a unit capacity: every instance would reject e at its
             # own step, so no run is called and ``_sync`` counts e into
             # each. No chain's held changes, so neither does the peak.
@@ -491,7 +519,6 @@ class GridState:
             self._move_window()
         # For submodular f, e's gain on any set S is at most
         # f({e}) - f(empty), the lazy bound of accelerated greedy.
-        cost = self.knapsacks.total_cost(e)
         magnitude = abs(value) + abs(self._empty)
         gain_cap = value - self._empty + _SCREEN_REL * magnitude + GAIN_TOL
         oracle = self._evaluator
@@ -519,9 +546,8 @@ class GridState:
         """
         if self._step_memo is not None:
             self._step_memo.clear()
-        pruned = self._memo = _prune(
-            self._evaluator, self.prune, self.runs.values(), self._memo
-        )
+        live = [chain for chain in self.runs.values() if chain._final is None]
+        pruned = self._memo = _prune(self._evaluator, self.prune, live, self._memo)
         best: Candidate | None = None
         for chain in self.runs.values():
             found = chain._best(pruned)

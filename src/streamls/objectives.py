@@ -25,6 +25,7 @@ from typing import (
 )
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, DomainError, ParseError, PreconditionError
 
@@ -453,6 +454,18 @@ def load_kernel(path: str) -> DppKernel:
     return DppKernel(np.array(values).reshape(n, n))
 
 
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a matrix, or of each in a stack.
+
+    It calls the gufunc that ``np.linalg.cholesky`` calls, with its
+    signature, so a factor has the same bytes, but skips the wrapper's
+    checks and casts. A member that is not positive definite factors to
+    nan, where the wrapper would raise ``LinAlgError`` for the whole stack.
+    """
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.cholesky_lo(matrix, signature="d->d")
+
+
 def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     """log det of a PSD matrix via pivoted elimination with a pivot floor.
 
@@ -463,26 +476,29 @@ def _logdet_floored(matrix: np.ndarray) -> tuple[float, bool]:
     n = matrix.shape[0]
     if n == 0:
         return 0.0, False  # det of the empty matrix is 1
-    try:
-        # The same ufunc reductions as np.diag/np.all/np.sum, called as
-        # methods: equal bits, fewer dispatch layers.
-        diag = np.linalg.cholesky(matrix).diagonal()
-        if (diag * diag >= DET_FLOOR).all():
-            return float(2.0 * np.log(diag).sum()), False
-    except np.linalg.LinAlgError:
-        pass
+    diag = _cholesky(matrix).diagonal()
+    # Squaring is monotone on the positive pivots, so the smallest one
+    # decides the floor test for all; a failed factor is nan and fails it.
+    # Doubling is exact, so the sum keeps the bits of 2 * log(diag).sum().
+    low = diag.min()
+    if low * low >= DET_FLOOR:
+        return 2.0 * float(np.log(diag).sum()), False
     m = np.array(matrix, dtype=float, copy=True)
     total = 0.0
     clamped = False
-    for j in range(n):
-        pivot = m[j, j]
-        # A nan pivot (inf - inf past a floored one) is clamped as well.
-        if not pivot >= DET_FLOOR:
-            pivot = DET_FLOOR
-            clamped = True
-        total += math.log(pivot)
-        if j + 1 < n:
-            m[j + 1 :, j + 1 :] -= np.outer(m[j + 1 :, j], m[j, j + 1 :]) / pivot
+    # Past a floored pivot the update may overflow and meet inf - inf;
+    # the nan pivot that follows is clamped too, and the clamp is what a
+    # caller hears of, so numpy's own warnings about it stay quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            pivot = m[j, j]
+            # A nan pivot (inf - inf past a floored one) is clamped as well.
+            if not pivot >= DET_FLOOR:
+                pivot = DET_FLOOR
+                clamped = True
+            total += math.log(pivot)
+            if j + 1 < n:
+                m[j + 1 :, j + 1 :] -= np.outer(m[j + 1 :, j], m[j, j + 1 :]) / pivot
     return total, clamped
 
 
@@ -554,13 +570,13 @@ class LogDetOracle(ValueOracle):
         """``value`` of each set, with each group of two or more sets of one
         size factored in one stacked Cholesky call.
 
-        numpy's stacked ``cholesky`` runs LAPACK's factorization on each
-        member as a single call does, and the log sum reduces each row as
-        ``_logdet_floored`` reduces its diagonal, so every value keeps its
-        last bit. The empty set, a lone set of its size, a group that
-        raises and a member with a pivot under ``DET_FLOOR`` go through
-        ``value``, which clamps and warns as ever. So does every set when
-        ``value`` is not this class's own: an override sees each set.
+        The stacked factorization runs LAPACK's on each member as a single
+        call does, and the log sum reduces each row as ``_logdet_floored``
+        reduces its diagonal, so every value keeps its last bit. The empty
+        set, a lone set of its size, a member that does not factor and a
+        member with a pivot under ``DET_FLOOR`` go through ``value``, which
+        clamps and warns as ever. So does every set when ``value`` is not
+        this class's own: an override sees each set.
         """
         if type(self).value is not _logdet_value:
             return super().values(sets)
@@ -574,14 +590,10 @@ class LogDetOracle(ValueOracle):
             if size == 0 or len(members) < 2:
                 continue
             stack = np.array([indices[i] for i in members], dtype=np.intp)
-            try:
-                factors = np.linalg.cholesky(
-                    kernel.matrix[stack[:, :, None], stack[:, None, :]]
-                )
-            except np.linalg.LinAlgError:
-                continue
+            factors = _cholesky(kernel.matrix[stack[:, :, None], stack[:, None, :]])
             diag = factors.diagonal(axis1=1, axis2=2)
-            fits = (diag * diag >= DET_FLOOR).all(axis=1).tolist()
+            low = diag.min(axis=1)
+            fits = (low * low >= DET_FLOOR).tolist()
             logdets = (2.0 * np.log(diag).sum(axis=1)).tolist()
             for i, fit, logdet in zip(members, fits, logdets):
                 if fit:

@@ -1,5 +1,6 @@
 """Independence oracles, knapsack feasibility and the swap-repair search."""
 
+import math
 import pickle
 import random
 import re
@@ -23,7 +24,7 @@ from streamls import (
     UniformMatroid,
     exchange_candidates,
 )
-from streamls.constraints import Solution
+from streamls.constraints import KNAPSACK_SLACK, Solution
 from streamls.streamio import build_constraint
 
 
@@ -185,6 +186,112 @@ class TestKnapsacks:
                 continue
             s = frozenset(e for e in t if rng.random() < 0.5)
             assert spec.feasible(s)
+
+
+class AskedSpec(KnapsackSpec):
+    """Counts the sums ``fits_with`` asks ``feasible`` for."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.asked = 0
+
+    def feasible(self, elements):
+        self.asked += 1
+        return super().feasible(elements)
+
+
+# One ulp of 1.0.
+ULP = 2.0**-52
+
+
+class TestKeptLoads:
+    """``fits_with`` decides from loads kept on a Solution only outside its
+    rounding band, and always as ``feasible`` on the same set does."""
+
+    def test_kept_loads_decide_as_a_fresh_sum(self):
+        asked_in_band = []
+        outcomes = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            d=st.integers(1, 3),
+            seed=st.integers(0, 2**32 - 1),
+            evictions=st.integers(0, 2),
+            offsets=st.lists(
+                st.integers(-8, 8) | st.sampled_from([-(2**24), 2**24]),
+                min_size=3,
+                max_size=3,
+            ),
+        )
+        def check(d, seed, evictions, offsets):
+            rng = random.Random(seed)
+            spec = AskedSpec(d)
+            n = rng.randint(45, 55)
+            held = [
+                Element(id=i, costs=tuple(rng.uniform(0.0, 1.0 / n) for _ in range(d)))
+                for i in range(n)
+            ]
+            # About 50 commits that evict nothing: the loads of the first,
+            # empty Solution are summed, and every later one grows them.
+            s = Solution()
+            for x in held:
+                assert spec.fits_with(s, x, frozenset())
+                s = s.grown([*s, x], x)
+            assert s.loads[0] is spec and spec.asked == 0
+            # A last element whose costs bring each load of the kept set to
+            # within a few ulps of the capacity, or 2^24 ulps off it.
+            evicted = frozenset(rng.sample(held, evictions))
+            rest = [x for x in held if x not in evicted]
+            costs = []
+            for j, offset in zip(range(d), offsets):
+                partial = math.fsum(x.costs[j] for x in rest)
+                costs.append(max(0.0, 1.0 + KNAPSACK_SLACK - partial + offset * ULP))
+            e = Element(id=n, costs=tuple(costs))
+            for solution in (s, Solution(s)):
+                want = KnapsackSpec.feasible(spec, (solution | {e}) - evicted)
+                before = spec.asked
+                assert spec.fits_with(solution, e, evicted) == want
+                asked_in_band.append(spec.asked - before)
+                outcomes.add((want, spec.asked > before))
+
+        check()
+        # The band was met, and each answer came from the loads as well.
+        assert sum(asked_in_band) > 0
+        assert {(True, False), (False, False)} <= outcomes
+        assert {want for want, asked in outcomes if asked} == {True, False}
+
+    def test_a_plain_set_is_summed_afresh(self):
+        spec = AskedSpec(1)
+        s = frozenset({costed(0, 0.5)})
+        assert spec.fits_with(s, costed(1, 0.5), frozenset())
+        assert not spec.fits_with(s, costed(1, 0.6), frozenset())
+        assert spec.fits_with(s, costed(1, 0.6), s)
+        assert spec.asked == 3
+
+    def test_loads_are_read_only_by_the_spec_that_summed_them(self):
+        one, other = AskedSpec(1), AskedSpec(1)
+        s = Solution({costed(0, 0.5)})
+        assert one.fits_with(s, costed(1, 0.25), frozenset())
+        assert s.loads == (one, [0.5])
+        assert other.fits_with(s, costed(1, 0.25), frozenset())
+        assert s.loads == (other, [0.5])
+        grown = s.grown([*s, costed(1, 0.25)], costed(1, 0.25))
+        assert grown.loads == (other, [0.75])
+        assert one.asked == other.asked == 0
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            (math.nan, "element 1 has non-finite cost nan"),
+            (math.inf, "element 1 has non-finite cost inf"),
+            (-0.5, "element 1 has negative cost -0.5"),
+        ],
+    )
+    def test_facts_refuse_a_cost_as_the_stream_loader_does(self, cost, message):
+        spec = KnapsackSpec(2)
+        assert spec.facts(costed(0, 0.25, 1.5)) == (1.75, False)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            spec.facts(costed(1, 0.1, cost))
 
 
 class TestExchangeCandidates:

@@ -638,6 +638,23 @@ class TestCli:
         assert "selected = []\n" in out
         assert "value = 0.0\n" in out
 
+    @pytest.mark.parametrize(
+        "cost, message",
+        [("nan", "non-finite cost nan"), ("-0.5", "negative cost -0.5")],
+        ids=["nan", "negative"],
+    )
+    def test_run_refuses_a_bad_cost_at_its_line(self, tmp_path, capsys, cost, message):
+        # The library now refuses these costs too; the stream loader still
+        # does so first, with the line.
+        stream = _write_stream(tmp_path, ["0,0.2,u", f"1,{cost},v", "2,0.3,w"])
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nobjective = coverage\nconstraint = uniform:3\n"
+            "knapsacks = 1\nk = 3\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: line 3: element 1 has {message}\n"
+
     def test_run_auto_k_refuses_an_empty_matchoid_at_its_first_element(
         self, tmp_path, capsys
     ):

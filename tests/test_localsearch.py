@@ -4,6 +4,7 @@ session API."""
 import gc
 import math
 import random
+import re
 import warnings
 import weakref
 from functools import partial
@@ -399,6 +400,28 @@ class TestGrid:
         grid = self._grid(ModularOracle({0: 1.0}), d=1)
         with pytest.raises(DomainError):
             grid.process(costed(0, 0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            (math.nan, "element 1 has non-finite cost nan"),
+            (-0.5, "element 1 has negative cost -0.5"),
+        ],
+        ids=["nan", "negative"],
+    )
+    def test_a_library_cost_is_checked_as_a_file_cost_is(self, cost, message):
+        # Unchecked, a nan cost dropped element 1 and a negative one let it
+        # in as free capacity: (0, 2) = 3.0 and (1, 2) = 7.0, silently.
+        session = StreamingSession(
+            ModularOracle({0: 1.0, 1: 5.0, 2: 2.0}), UniformMatroid(3), KnapsackSpec(1), k=3
+        )
+        session.push(costed(0, 0.2))
+        processed = session.engine.processed
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            session.push(costed(1, cost))
+        assert session.engine.processed == processed
+        session.push(costed(2, 0.3))
+        assert session.close().selection.ids == (0, 2)
 
 
 class TestSession:
@@ -1824,3 +1847,61 @@ class TestSnapshotValues:
         assert [c for c, _ in later] == [0, 0]
         assert [u for _, u in later] == [uncached_first] * 2
         assert all(oracle.clamped for oracle in oracles)
+
+
+def _twinned_kernel(n, seed):
+    """An RBF kernel over ids 0..n-1 in which each element has a twin, so
+    that a set holding both clamps, with an offset of 1 that lets the
+    density gate pass enough elements for whole runs to freeze."""
+    x = np.random.default_rng(seed).normal(size=(n, 4))
+    x[n // 2 :] = x[: n - n // 2]
+    matrix = 4.0 * np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 8.0)
+    return DppKernel(0.5 * (matrix + matrix.T), offset=1.0)
+
+
+class TestAllFrozenRuns:
+    """A run whose instances are all frozen keeps its best candidate and
+    leaves the pruning pass; a grid snapshotted after every push still
+    selects what ``ReferenceGrid``'s uncached finalize selects."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["coverage", "clamping"])
+    def test_snapshots_after_every_push_match_the_reference(self, kind, d):
+        # Runs found with their best kept, summed over every snapshot, and
+        # the trials whose oracle clamped.
+        kept = clamped = 0
+        for trial in range(6):
+            rng = random.Random(f"all-frozen:{kind}:{d}:{trial}")
+            if kind == "coverage":
+                instance = random_instance(rng, d=d, kinds=("coverage",))
+                elements, options = instance.elements, dict(k=instance.k, eps=0.2)
+                sides = [(instance.oracle, instance.constraint, instance.knapsacks)] * 2
+            else:
+                kernel = _twinned_kernel(30, rng.randrange(1 << 30))
+                elements = [
+                    Element(id=i, costs=tuple(rng.uniform(0.1, 0.5) for _ in range(d)))
+                    for i in range(30)
+                ]
+                rng.shuffle(elements)
+                options = dict(k=4)
+                sides = [
+                    (LogDetOracle(kernel), UniformMatroid(4), KnapsackSpec(d))
+                    for _ in range(2)
+                ]
+            session = StreamingSession(*sides[0], **options)
+            reference = ReferenceGrid(*sides[1], **options)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for e in elements:
+                    session.push(e)
+                    reference.process(e)
+                    assert_same_selection(session.snapshot(), reference.finalize())
+                    runs = session.engine.runs.values()
+                    kept += sum(chain._final is not None for chain in runs)
+                    assert all(
+                        chain._all_frozen for chain in runs if chain._final is not None
+                    )
+                assert_same_selection(session.close().selection, reference.finalize())
+            clamped += sides[0][0].clamped
+        assert kept > 0
+        assert clamped > 0 or kind == "coverage"

@@ -246,7 +246,7 @@ class TestStackedLogDet:
         assert _evaluated(LogDetOracle(kernel), lambda o: o.values(sets)) == want
 
     def test_a_failed_stack_and_a_floored_member_go_through_value(self, monkeypatch):
-        # 0 and 1 are twins, so {0, 1} is singular and its stack raises;
+        # 0 and 1 are twins, so {0, 1} is singular and does not factor;
         # L_22 = 1e-302 factors, but its square root squared is under
         # DET_FLOOR, so {2} and {2, 3, 4} leave their stacks.
         matrix = np.diag([1.0, 1.0, 1e-302, 2.0, 3.0, 4.0])
@@ -275,10 +275,10 @@ class TestStackedLogDet:
         got = _evaluated(LogDetOracle(kernel), lambda o: o.values(sets))
         assert got == want
         assert got[1:] == (True, 3)
-        # The empty set and {1, 3, 4, 5}, alone of their sizes, the raised
-        # size-2 stack and the two floored members; {5}, {3}, {4} and
-        # {3, 4, 5} stacked.
-        assert sorted(singles) == [0, 1, 2, 2, 2, 3, 4]
+        # The empty set and {1, 3, 4, 5}, alone of their sizes, the member
+        # {0, 1} that does not factor and the two floored members; {5},
+        # {3}, {4}, {3, 4}, {4, 5} and {3, 4, 5} stacked.
+        assert sorted(singles) == [0, 1, 2, 3, 4]
 
     def test_an_override_of_value_sees_every_set(self):
         class Counting(LogDetOracle):
@@ -293,6 +293,89 @@ class TestStackedLogDet:
         assert seen == [tuple(e.id for e in s) for s in sets]
         assert repr(got) == repr(LogDetOracle(kernel).values(sets))
         assert repr(got) == repr([LogDetOracle(kernel).value(s) for s in sets])
+
+
+@st.composite
+def unguarded_cases(draw):
+    """A symmetric kernel, full rank, rank deficient, slightly indefinite
+    (inside DppKernel's tolerance) or with duplicated rows, and index
+    lists over it, all of one size, so that ``values`` stacks them."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("full", "deficient", "indefinite", "duplicated")))
+    if kind == "full":
+        factors = rng.normal(size=(n, n))
+        matrix = factors @ factors.T + draw(st.sampled_from((1e-6, 0.1, 2.0))) * np.eye(n)
+    elif kind == "duplicated":
+        base = rng.normal(size=(n, n))
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        matrix = (base @ base.T + 0.5 * np.eye(n))[np.ix_(rows, rows)]
+    else:
+        factors = rng.normal(size=(n, draw(st.integers(1, n))))
+        matrix = factors @ factors.T
+        if kind == "indefinite":
+            matrix -= 1e-10 * np.eye(n)
+    size = draw(st.integers(1, n))
+    index_lists = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=size, max_size=size),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return 0.5 * (matrix + matrix.T), index_lists
+
+
+CLAMP_MESSAGE = "log-det pivot clamped at floor; kernel submatrix is near singular"
+
+
+class TestDirectCholesky:
+    """The log-det path factors through numpy's Cholesky gufunc under its
+    own errstate. With no errstate around the caller, a matrix that does
+    not factor raises no numpy warning, and every value keeps the bits of
+    the path through ``np.linalg.cholesky``."""
+
+    def test_values_keep_their_bits_with_no_errstate_around(self):
+        factored = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(unguarded_cases())
+        def check(case):
+            matrix, index_lists = case
+            kernel = DppKernel(matrix, offset=1.5)
+            subs = [_principal(kernel.matrix, idx) for idx in index_lists]
+            sets = [tuple(Element(id=i) for i in idx) for idx in index_lists]
+            want = []
+            for sub in subs:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want.append(_reference_logdet_floored(sub))
+                try:
+                    np.linalg.cholesky(sub)
+                    factored.add(True)
+                except np.linalg.LinAlgError:
+                    factored.add(False)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                floored = [_logdet_floored(sub) for sub in subs]
+                single = [LogDetOracle(kernel).value(s) for s in sets]
+                stacked = LogDetOracle(kernel).values(sets)
+            for (value, clamped), expected, one, many in zip(floored, want, single, stacked):
+                if math.isnan(expected[0]):
+                    # The old fallback let a nan pivot through; this one clamps it.
+                    assert math.isfinite(value) and clamped
+                else:
+                    assert repr((value, clamped)) == repr(expected)
+                assert repr(one) == repr(value + 1.5)
+                assert repr(many) == repr(one)
+            assert all(
+                w.category is RuntimeWarning and str(w.message) == CLAMP_MESSAGE
+                for w in caught
+            ), [str(w.message) for w in caught]
+            assert bool(caught) == any(clamped for _, clamped in floored)
+
+        check()
+        # Both a factor and a matrix that np.linalg.cholesky refuses.
+        assert factored == {True, False}
 
 
 class TestLogDetNanPivot:
