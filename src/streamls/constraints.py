@@ -37,18 +37,21 @@ class Solution(frozenset):
     oracle's gain bound keeps its vector over the solution in ``bound``
     the same way, as (oracle, vector), or finds there (oracle, the
     predecessor's vector, the element added) left by ``grown``. A
-    finalize keeps f of the solution in ``value`` as (oracle, f(S)) and
-    reads it back on later snapshots: a Solution always iterates in one
-    order, so it holds the bits a fresh call returns. A copy made with
-    ``frozenset()`` may iterate in another order. A knapsack spec keeps
-    the solution's per-knapsack loads in ``loads`` as (spec, loads).
+    finalize keeps f of the solution in ``value`` as (oracle, f(S)), and
+    the oracle's ``subset_bound`` of it in ``ceiling`` as (oracle,
+    bound), and reads both back on later snapshots: a Solution always
+    iterates in one order, so it holds the bits a fresh call returns. A
+    copy made with ``frozenset()`` may iterate in another order. A
+    knapsack spec keeps the solution's per-knapsack loads in ``loads`` as
+    (spec, loads).
     """
 
-    __slots__ = ("layout", "bound", "value", "loads")
+    __slots__ = ("layout", "bound", "value", "ceiling", "loads")
 
     def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
         solution = super().__new__(cls, elements)
-        solution.layout = solution.bound = solution.value = solution.loads = None
+        solution.layout = solution.bound = solution.value = None
+        solution.ceiling = solution.loads = None
         return solution
 
     def grown(self, elements: Iterable[Element], e: Element) -> Solution:

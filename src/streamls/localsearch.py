@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
-from .constraints import IndependenceOracle, KnapsackSpec
+from .constraints import IndependenceOracle, KnapsackSpec, Solution
 from .errors import ConfigError, DomainError
 from .indstream import IndStreamInstance
 from .objectives import GAIN_TOL, DppKernel, Element, SequentialDppOracle, ValueOracle
@@ -52,25 +52,58 @@ _MAX_RUNS = 10_000
 Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
 
 
-def _prune(
+def _screen(
     oracle: ValueOracle,
-    prune: DoubleGreedyConfig,
     chains: Iterable[ChainState],
     memo: Memo,
-) -> Memo:
-    """Each live solution of ``chains``, keyed by content, to its pruned
-    set and that set's value, read from ``memo`` when the last finalize
-    pruned an equal solution.
+    bar: Callable[[], float],
+) -> tuple[list[frozenset[Element]], Memo]:
+    """The live solutions of ``chains`` that need a pruning pass, as plain
+    copies, and the entries of ``memo`` the last finalize kept for the rest.
 
-    Double greedy reads only a solution's content, in id order, so a memo
-    entry is what a fresh pass returns, bit for bit. The rest are pruned
-    in one lockstep pass and their cuts evaluated in one ``values`` call.
+    A solution needs a pass unless ``memo`` holds one of equal content or
+    its ``subset_bound`` lies below ``bar()``, the largest value among
+    candidates that need no pass. Every set the pass could return is then
+    worth less than some candidate, so it can neither win nor tie. The bar
+    is asked only once some solution has a bound, and asked here rather
+    than in the pass, so the values it reads are asked by the finalize.
+    Each solution keeps its bound, so a later finalize with no commit in
+    between asks for none of them again.
     """
     live = {inst.current_solution(): None for c in chains for inst in c.instances}
     used: Memo = {key: entry for key, entry in memo.items() if key in live}
+    fresh = [solution for solution in live if solution not in used]
+    bounds = [_ceiling(oracle, solution) for solution in fresh]
+    if any(bound is not None for bound in bounds):
+        least = bar()
+        fresh = [s for s, b in zip(fresh, bounds) if b is None or not b < least]
     # Plain copies, so the memo keeps no Solution, nor its bound vector,
     # past the solution's commit. A copy reuses the stored hashes.
-    fresh = [frozenset(solution) for solution in live if solution not in used]
+    return [frozenset(solution) for solution in fresh], used
+
+
+def _ceiling(oracle: ValueOracle, solution: Solution) -> float | None:
+    """``oracle.subset_bound(solution)``, kept on the solution."""
+    kept = solution.ceiling
+    if kept is None or kept[0] is not oracle:
+        kept = solution.ceiling = (oracle, oracle.subset_bound(solution))
+    return kept[1]
+
+
+def _prune(
+    oracle: ValueOracle,
+    prune: DoubleGreedyConfig,
+    fresh: list[frozenset[Element]],
+    used: Memo,
+) -> Memo:
+    """``used`` with each solution of ``fresh`` mapped to its pruned set
+    and that set's value.
+
+    Double greedy reads only a solution's content, in id order, so a memo
+    entry is what a fresh pass returns, bit for bit. The solutions are
+    pruned in one lockstep pass and their cuts evaluated in one ``values``
+    call.
+    """
     if fresh:
         cuts = unconstrained_max_many(oracle, fresh, prune)
         used.update(zip(fresh, zip(cuts, oracle.values(cuts))))
@@ -112,6 +145,9 @@ class _StepMemo(ValueOracle):
 
     def gain_bound(self, s: AbstractSet[Element], e: Element) -> float | None:
         return self.oracle.gain_bound(s, e)
+
+    def subset_bound(self, s: Collection[Element]) -> float | None:
+        return self.oracle.subset_bound(s)
 
     def clear(self) -> None:
         self._values.clear()
@@ -306,44 +342,80 @@ class ChainState:
 
         The stream may continue afterwards. The chain prunes with its own
         memo and keeps the result as the next one (see ``_prune``), so a
-        snapshot replaces the memo and must not race another. Ties keep
-        the earliest candidate: lowest instance, then its solution, the
-        solution pruned, the overflowing element alone.
+        snapshot replaces the memo and must not race another. A solution
+        whose pruned set could not win is not pruned (see ``_screen``).
+        Ties keep the earliest candidate: lowest instance, then its
+        solution, the solution pruned, the overflowing element alone.
         """
         if self._final is None:
-            self._memo = _prune(self.oracle, self.prune, [self], self._memo)
+            fresh, used = _screen(self.oracle, [self], self._memo, self._bar)
+            self._memo = _prune(self.oracle, self.prune, fresh, used)
         return _selection(self._best(self._memo))
 
-    def _best(self, pruned: Memo) -> Candidate:
-        """The candidate ``finalize`` selects, with its value and instance;
-        ``pruned`` maps each solution to its pruned set and that set's value.
+    def _held(self, inst: IndStreamInstance) -> list[tuple[frozenset[Element], float]]:
+        """The candidates of ``inst`` that need no pruning, with their values:
+        its solution, and once it is frozen its overflowing element alone.
 
         f of each solution is kept on it, and f of a frozen instance's
         overflowing element alone on the instance, so a later finalize
-        asks for neither again. Once every instance is frozen, the result
-        itself is kept, and ``pruned`` need not hold the run's solutions.
+        asks for neither again.
+        """
+        oracle = self.oracle
+        solution = inst.current_solution()
+        kept = solution.value
+        if kept is None or kept[0] is not oracle:
+            kept = solution.value = (oracle, oracle.value(solution))
+        held = [(solution, kept[1])]
+        last = inst.overflow_record()
+        if last is not None:  # then the solution is the pre-overflow one
+            if inst.overflow_alone is None:
+                alone = frozenset((last,))
+                inst.overflow_alone = (alone, oracle.value(alone))
+            held.append(inst.overflow_alone)
+        return held
+
+    def _bar(self) -> float:
+        """The largest value of a candidate of this run that needs no
+        pruning: the kept best once the run is final, else the largest
+        number among ``_held``'s values, or -inf."""
+        if self._final is not None:
+            return self._final[1]
+        bar = -math.inf
+        for inst in self.instances:
+            for _, value in self._held(inst):
+                if value > bar:
+                    bar = value
+        return bar
+
+    def _best(self, pruned: Memo) -> Candidate:
+        """The candidate ``finalize`` selects, with its value and instance;
+        ``pruned`` maps each solution to its pruned set and that set's
+        value, or lacks it when that set could not win.
+
+        Once every instance is frozen, the result itself is kept, and
+        ``pruned`` need not hold the run's solutions. It is kept only when
+        every pruned set left out is bounded below it, so that it is the
+        run's own best: a grid's bar may fall when the runs that hold its
+        best retire.
         """
         if self._final is not None:
             return self._final
-        oracle = self.oracle
         best: Candidate | None = None
+        # The bounds of the pruned sets left out, for a run that may be kept.
+        left_out: list[float | None] = []
         for inst in self.instances:
-            solution = inst.current_solution()
-            kept = solution.value
-            if kept is None or kept[0] is not oracle:
-                kept = solution.value = (oracle, oracle.value(solution))
-            candidates = [(solution, kept[1]), pruned[solution]]
-            last = inst.overflow_record()
-            if last is not None:  # then the solution is the pre-overflow one
-                if inst.overflow_alone is None:
-                    alone = frozenset((last,))
-                    inst.overflow_alone = (alone, oracle.value(alone))
-                candidates.append(inst.overflow_alone)
+            candidates = self._held(inst)
+            solution = candidates[0][0]
+            cut = pruned.get(solution)
+            if cut is not None:
+                candidates.insert(1, cut)
+            elif self._all_frozen:
+                left_out.append(_ceiling(self.oracle, solution))
             for cand, cand_value in candidates:
                 if best is None or cand_value > best[1]:
                     best = (cand, cand_value, inst)
         assert best is not None
-        if self._all_frozen:
+        if self._all_frozen and all(b is not None and b < best[1] for b in left_out):
             self._final = best
         return best
 
@@ -546,8 +618,10 @@ class GridState:
         """
         if self._step_memo is not None:
             self._step_memo.clear()
+        oracle = self._evaluator
         live = [chain for chain in self.runs.values() if chain._final is None]
-        pruned = self._memo = _prune(self._evaluator, self.prune, live, self._memo)
+        fresh, used = _screen(oracle, live, self._memo, self._bar)
+        pruned = self._memo = _prune(oracle, self.prune, fresh, used)
         best: Candidate | None = None
         for chain in self.runs.values():
             found = chain._best(pruned)
@@ -558,6 +632,16 @@ class GridState:
         if best is None:
             return Selection(frozenset(), self._empty)
         return _selection(best)
+
+    def _bar(self) -> float:
+        """The largest value among the runs' candidates that need no
+        pruning and the best feasible singleton's; see ``_screen``."""
+        bar = self.m if self.e_m is not None else -math.inf
+        for chain in self.runs.values():
+            found = chain._bar()
+            if found > bar:
+                bar = found
+        return bar
 
     def _sync(self) -> None:
         """Count into each run the elements routed to it uncalled."""

@@ -126,6 +126,18 @@ class ValueOracle(ABC):
         """
         return None
 
+    def subset_bound(self, s: Collection[Element]) -> float | None:
+        """An upper bound on f of every subset of ``s``, or None.
+
+        A number promises that ``value(t)`` is at most it in floats for
+        every t within ``s``, the empty set and ``s`` included, in any
+        iteration order, and that no such call sets ``clamped``. A finalize
+        then leaves out the double-greedy pass over a solution whose bound
+        lies below a candidate it already holds, since no set that pass
+        could return would win. None, the default, makes no promise.
+        """
+        return None
+
 
 class ModularOracle(ValueOracle):
     """Additive weights; the equality case of diminishing returns."""
@@ -543,6 +555,8 @@ class LogDetOracle(ValueOracle):
         # gain_bound's slack, less its offset term, for each |S| whose
         # k = |S| + 1 the certificate covers; empty when it covers none.
         self._slacks: list[float] = []
+        # The kernel the certificate holds for, once it holds for any size.
+        self._certified: DppKernel | None = None
         n = kernel.matrix.shape[0]
         if kernel.eigen_range is None or not kernel.exactly_symmetric:
             return
@@ -559,6 +573,8 @@ class LogDetOracle(ValueOracle):
                 4.0 * k * eta + 2.0 * (k + 8) ** 2 * _U * ell + 8.0 * _U * kappa
             )
         self._diag = kernel.matrix.diagonal().tolist()
+        if self._slacks:
+            self._certified = kernel
 
     def value(self, elements: Iterable[Element]) -> float:
         value, clamped = _logdet_warned(self.kernel.submatrix(elements))
@@ -652,6 +668,50 @@ class LogDetOracle(ValueOracle):
         j = kernel.index(e)
         slack = self._slacks[len(s)] + 8.0 * _U * abs(kernel.offset)
         return math.log(self._diag[j] - pulled.item(j)) + slack
+
+    def subset_bound(self, s: Collection[Element]) -> float | None:
+        """offset + the sum of log(lam_i) over the eigenvalues lam_i > 1 of
+        L_S, each widened by eigvalsh's error, plus a slack; None unless
+        ``gain_bound``'s certificate covers |S| + 1 elements, the oracle
+        has not clamped and ``kernel`` is the one it was built with.
+
+        Let k = |S| and M the permuted principal submatrix ``value`` reads
+        for S; the kernel is exactly symmetric, so M is symmetric, and M's
+        eigenvalues lam_1 >= ... >= lam_k are L_S's. For t = |T| with T
+        within S, L_T is a principal submatrix of M, so (Cauchy
+        interlacing) its eigenvalues mu_j <= lam_j, and log det L_T = sum
+        log mu_j <= sum_{j <= t} log lam_j <= sum_i max(log lam_i, 0),
+        for T empty too.
+
+        Certificate and float error, with gain_bound's u, (lam, Lam), eta
+        and ell. eigvalsh returns the eigenvalues of M + E with ||E||_2 <=
+        4 k^2 u ||M||_2, the error bound ``DppKernel._bound_spectrum``
+        assumes, and ||M||_2 <= Lam; so (Weyl) lam_i <= its estimate + 4
+        k^2 u Lam, which is computed rounded up at the product and at the
+        sum. Each widened eigenvalue is at most 2 Lam, so each log term
+        lies in [0, ell].
+        - ``value(T)`` completes its Cholesky path without a clamp and
+          exceeds log det L_T + offset by under 2 t eta + (t + 7) t u ell
+          + u |offset| (gain_bound's accounting, t <= k).
+        - The bound's logs lose under 2 u ell each, the sum of k terms
+          (k - 1) k u ell, and its two last additions 2 u (k ell + |offset|
+          + slack).
+        The slack, gain_bound's for k + 1 elements, 4 (k + 1) eta + 2 (k +
+        9)^2 u ell + 8 u (|offset| + Lam / lam), covers all of it, so no
+        float ``value(T)`` exceeds the returned number.
+        """
+        kernel = self.kernel
+        k = len(s)
+        if k >= len(self._slacks) or self.clamped or kernel is not self._certified:
+            return None
+        reach = math.nextafter(4.0 * k * k * _U * kernel.eigen_range[1], math.inf)
+        with np.errstate(invalid="ignore"):
+            spectrum = _umath_linalg.eigvalsh_lo(kernel.submatrix(s), signature="d->d")
+        widened = np.nextafter(spectrum + reach, math.inf)
+        total = float(np.log(np.maximum(widened, 1.0)).sum())
+        if math.isnan(total):  # eigvalsh did not converge
+            return None
+        return total + kernel.offset + (self._slacks[k] + 8.0 * _U * abs(kernel.offset))
 
     def _pulled(self, s: AbstractSet[Element]) -> np.ndarray:
         """v_S: entry i is the max over x in S of L_xi * L_xi / L_xx, 0.0 for

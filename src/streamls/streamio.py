@@ -54,7 +54,7 @@ def load_stream(
     keys: ``id`` a JSON integer, ``features``, ``costs`` and ``groups``
     JSON lists. Costs are divided by ``capacities`` when given, which
     must be positive and finite. Costs must be finite and non-negative,
-    features finite.
+    before and after that division, and features finite.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown stream format {fmt!r}")
@@ -79,6 +79,13 @@ def load_stream(
         if not all(math.isfinite(x) for x in features):
             raise ParseError(f"element {eid} has a non-finite feature", line)
         if caps is not None:
+            for c, cap in zip(costs, caps):
+                if c / cap == math.inf:
+                    raise ParseError(
+                        f"element {eid}: cost {c} over capacity {cap} overflows"
+                        " the float range",
+                        line,
+                    )
             costs = [c / cap for c, cap in zip(costs, caps)]
         return Element(
             id=eid,

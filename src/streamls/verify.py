@@ -495,10 +495,14 @@ def check_anytime(seed: int = 9, trials: int = 20) -> CheckResult:
 
 
 class UnscreenedLogDet(LogDetOracle):
-    """A log-det oracle that gives no gain bound: every instance step it
-    serves makes its value call, the path before the bound screen."""
+    """A log-det oracle that gives no gain bound and no subset bound: every
+    instance step it serves makes its value call, and every finalize
+    prunes every solution, the paths before the bound screens."""
 
     def gain_bound(self, s, e):
+        return None
+
+    def subset_bound(self, s):
         return None
 
 
@@ -545,8 +549,8 @@ def _screen_run(
 
 def check_screen_on_clamping_kernels(trials: int = 200, seed: int = 10) -> CheckResult:
     """On near-singular log-det kernels, a session whose oracle gives
-    ``gain_bound`` matches, output and clamp state alike, one whose oracle
-    gives none. The detail counts the trials that clamped, and those
+    ``gain_bound`` and ``subset_bound`` matches, output and clamp state
+    alike, one whose oracle gives neither. The detail counts the trials that clamped, and those
     whose kernel the bound certifies (it never clamps)."""
     rng = random.Random(seed)
     result = CheckResult("screen-matches-on-clamping-kernels")

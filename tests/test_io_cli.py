@@ -655,6 +655,29 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: line 3: element 1 has {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_run_refuses_a_cost_its_capacity_overflows_at_its_line(
+        self, tmp_path, capsys, fmt
+    ):
+        # 1e10 / 1e-300 is past the float range, though both are finite.
+        if fmt == "csv":
+            stream = _write_stream(tmp_path, ["0,0.5,u", "1,1e10,v"])
+        else:
+            stream = tmp_path / "stream.jsonl"
+            rows = [{"id": 0, "costs": [0.5]}, {"id": 1, "costs": [1e10]}]
+            stream.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        config = _write_config(
+            tmp_path,
+            f"stream = {stream}\nformat = {fmt}\nobjective = coverage\n"
+            "constraint = uniform:3\nknapsacks = 1\ncapacities = 1e-300\nk = 3\n",
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        line = 3 if fmt == "csv" else 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: element 1: cost 10000000000.0 over capacity"
+            " 1e-300 overflows the float range\n"
+        )
+
     def test_run_auto_k_refuses_an_empty_matchoid_at_its_first_element(
         self, tmp_path, capsys
     ):

@@ -1905,3 +1905,151 @@ class TestAllFrozenRuns:
             clamped += sides[0][0].clamped
         assert kept > 0
         assert clamped > 0 or kind == "coverage"
+
+
+class NoSubsetBound(LogDetOracle):
+    """A log-det oracle with no subset bound: every finalize prunes every
+    solution that no memo entry covers."""
+
+    def subset_bound(self, s):
+        return None
+
+
+class BoundedCut(CutOracle):
+    """A cut oracle whose subset bound is the weight of the edges that touch
+    S: every cut of a subset of S sums some of those edges, in edge order."""
+
+    def subset_bound(self, s):
+        ids = {e.id for e in s}
+        return sum(w for u, v, w in self._edges if u in ids or v in ids)
+
+
+def snapshot_transcript(oracle, elements, constraint, knapsacks, k):
+    """A snapshot after every push, then the close, its stats and the
+    warnings, all by repr."""
+    session = StreamingSession(oracle, constraint, knapsacks, k=k)
+    seen = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for e in elements:
+            session.push(e)
+            snap = session.snapshot()
+            seen.append((snap.ids, repr(snap.value)))
+        report = session.close()
+    seen.append((report.selection.ids, repr(report.selection.value)))
+    seen.append(repr(report.stats))
+    seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
+    return repr(seen), session.engine
+
+
+def _rising_kernel(n, seed):
+    """Row scales rising along the stream, so m grows and a grid's lowest
+    runs retire, over a rank-3 kernel with a ridge; the offset is the run
+    path's automatic one."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(n, 3))
+    scale = np.sqrt(1.15 ** np.arange(n))
+    matrix = (factors @ factors.T + 0.3 * np.eye(n)) * np.outer(scale, scale)
+    matrix = 0.5 * (matrix + matrix.T)
+    return matrix, suggest_logdet_offset(matrix)
+
+
+class TestSubsetBoundScreen:
+    """Sessions whose oracle gives ``subset_bound`` against the same
+    sessions under an oracle that gives none: snapshots after every push,
+    the close, ``stats()`` and warnings agree by repr."""
+
+    @pytest.mark.parametrize("kernel_kind", ["rising", "rbf", "edge", "clamping"])
+    @pytest.mark.parametrize("d", [0, 1, 2], ids=["chain", "grid-d1", "grid-d2"])
+    def test_screened_session_matches_the_unbounded_one(self, d, kernel_kind, monkeypatch):
+        spy = PruneSpy(monkeypatch)
+        pruned = {LogDetOracle: 0, NoSubsetBound: 0}
+        retired = 0
+        for trial in range(4):
+            n = 24
+            rng = random.Random(f"subset:{d}:{kernel_kind}:{trial}")
+            if kernel_kind == "rising":
+                matrix, offset = _rising_kernel(n, rng.randrange(1 << 30))
+            else:
+                matrix, offset = _screen_kernel(kernel_kind, n, rng.randrange(1 << 30))
+            kernel = DppKernel(matrix, offset=offset)
+            elements = [
+                Element(id=i, costs=tuple(rng.uniform(0.05, 0.5) for _ in range(d)))
+                for i in range(n)
+            ]
+            if kernel_kind != "rising":
+                rng.shuffle(elements)
+            knapsacks = KnapsackSpec(d) if d else None
+            transcripts = []
+            for cls in (LogDetOracle, NoSubsetBound):
+                spy.calls = 0
+                with np.errstate(all="ignore"):
+                    transcript, engine = snapshot_transcript(
+                        cls(kernel), elements, UniformMatroid(5), knapsacks, 5
+                    )
+                transcripts.append(transcript)
+                pruned[cls] += spy.calls
+            assert transcripts[0] == transcripts[1]
+            retired += getattr(engine, "retired", 0)
+        if kernel_kind in ("rising", "rbf"):
+            assert pruned[LogDetOracle] < pruned[NoSubsetBound]
+        elif kernel_kind == "clamping":  # no certificate, so no bound
+            assert pruned[LogDetOracle] == pruned[NoSubsetBound]
+        if d and kernel_kind == "rising":
+            assert retired > 0
+
+    def test_a_run_whose_left_out_set_may_win_later_stays_live(self):
+        # Cut weights: x (id 0) 49 out; y (id 2) 1 out and 2 to z (id 1);
+        # z 3 out; q (id 3) 3 out; three freezers of 30 each; a booster of
+        # 51. Run 10 takes x, y, q, z (56, pruned {x, z, q} 57), and run 11
+        # rejects q and holds S = {x, y, z} (53), whose pruned set {x, z}
+        # (54) is left out under run 10's 56, S's bound being 55. The
+        # freezers freeze both runs whole. The booster raises m to 51, which
+        # retires run 10, and {x, z} wins, so run 11 must not have kept 53
+        # as its best when it froze.
+        weights = [49.0, 3.0, 1.0, 3.0, 30.0, 30.0, 30.0, 51.0]
+        edges = [(i, 100 + i, w) for i, w in enumerate(weights)] + [(2, 1, 2.0)]
+        order = [(0, 0.1), (2, 0.1), (3, 0.45), (1, 0.125), (4, 0.85), (5, 0.5)]
+        order += [(6, 0.6), (7, 1.0)]
+        elements = [Element(id=i, costs=(c,)) for i, c in order]
+        args = (elements, UniformMatroid(4), KnapsackSpec(1), 4)
+        nodes = range(108)
+        screened, engine = snapshot_transcript(BoundedCut(edges, nodes), *args)
+        reference, _ = snapshot_transcript(CutOracle(edges, nodes), *args)
+        assert screened == reference
+        assert engine.retired == 1 and min(engine.runs) == 11
+        assert eval(screened)[-4] == ((0, 1), "54.0")
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_repeated_snapshot_asks_for_nothing(self, d, monkeypatch):
+        spy = PruneSpy(monkeypatch)
+        calls = []
+        for name in ("value", "values", "subset_bound"):
+            method = getattr(LogDetOracle, name)
+            monkeypatch.setattr(
+                LogDetOracle,
+                name,
+                lambda self, arg, name=name, method=method: calls.append(name)
+                or method(self, arg),
+            )
+        n = 30
+        rng = random.Random(f"repeat-bound:{d}")
+        matrix, offset = _screen_kernel("rbf", n, rng.randrange(1 << 30))
+        elements = [Element(id=i, costs=(rng.uniform(0.05, 0.4),) * d) for i in range(n)]
+        session = StreamingSession(
+            LogDetOracle(DppKernel(matrix, offset=offset)),
+            UniformMatroid(5),
+            KnapsackSpec(d) if d else None,
+            k=5,
+        )
+        bounded = 0
+        for e in elements:
+            session.push(e)
+            calls.clear()
+            first = session.snapshot()
+            bounded += calls.count("subset_bound")
+            calls.clear()
+            spy.calls = 0
+            assert session.snapshot() == first
+            assert calls == [] and spy.calls == 0
+        assert bounded > 0

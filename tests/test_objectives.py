@@ -36,6 +36,7 @@ from streamls import (
 from streamls import objectives
 from streamls.constraints import Solution
 from streamls.objectives import DET_FLOOR, ValueOracle, _logdet_floored, _principal
+from streamls.verify import UnscreenedLogDet, _near_singular_kernel
 
 
 def elems(*ids):
@@ -1113,6 +1114,104 @@ class TestGainBound:
         low, high = float(eigenvalues.min()), float(eigenvalues.max())
         reach = 4.0 * 10 * 10 * objectives._U * max(abs(low), abs(high))
         assert kernel.eigen_range == (low - reach, high + reach)
+
+
+@st.composite
+def _subset_bound_cases(draw):
+    """A kernel the gain bound's certificate covers, some of them only for
+    small sets, an offset and a seed for the orders sets are read in."""
+    n = draw(st.integers(1, 8))
+    low, high = draw(
+        st.sampled_from(
+            [(0.1, 10.0), (0.5, 4.0), (1e-3, 1e3), (1e-8, 2.0), (1e-13, 1.0),
+             (3e-150, 1e-147), (1e147, 1e149), (1.5, 1.5)]
+        )
+    )
+    offset = draw(st.sampled_from([0.0, 3.0, 1e6, 1e15]))
+    seed = draw(st.integers(0, 2**30))
+    return _spectrum_kernel(seed, n, low, high), offset, seed
+
+
+class TestSubsetBound:
+    @settings(max_examples=80, deadline=None)
+    @given(_subset_bound_cases())
+    @example((np.diag([4.0, 0.5, 2.0, 1.0, 3.0]), 0.0, 0))
+    def test_bound_is_at_least_every_subsets_value(self, case):
+        matrix, offset, seed = case
+        oracle = LogDetOracle(DppKernel(matrix, offset))
+        rng = random.Random(seed)
+        n = matrix.shape[0]
+        bounded = 0
+        for mask in range(1 << n):
+            s = [Element(id=i) for i in range(n) if mask >> i & 1]
+            rng.shuffle(s)
+            bound = oracle.subset_bound(s)
+            assert (bound is None) == (len(s) >= len(oracle._slacks))
+            if bound is None:
+                continue
+            bounded += 1
+            for sub in range(1 << len(s)):
+                t = [x for i, x in enumerate(s) if sub >> i & 1]
+                rng.shuffle(t)
+                assert oracle.value(t) <= bound, (s, t)
+        assert not oracle.clamped
+        assert bounded > 0 or not oracle._slacks
+
+    def test_bound_on_a_diagonal_kernel_is_the_best_subsets_value(self):
+        # The best subset keeps each diagonal entry above 1.
+        oracle = LogDetOracle(DppKernel(np.diag([4.0, 0.5, 2.0, 1.0, 3.0, 0.25]), 7.0))
+        best = math.log(4.0) + math.log(2.0) + math.log(3.0) + 7.0
+        bound = oracle.subset_bound(elems(0, 1, 2, 3, 4))
+        assert best <= bound <= best + 1e-9
+        assert oracle.subset_bound(frozenset()) == pytest.approx(7.0, abs=1e-12)
+
+    def test_no_bound_on_an_uncertified_kernel(self):
+        # A ridge of 1e-12 leaves some of these kernels certified for small
+        # sets; the rest give no bound on any set, the empty one included.
+        rng = random.Random(11)
+        uncertified = 0
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            with np.errstate(all="ignore"):
+                oracle = LogDetOracle(DppKernel(_near_singular_kernel(rng, n)))
+            if oracle.gain_bound(frozenset(), Element(id=0)) is None:
+                uncertified += 1
+                for size in range(n + 1):
+                    assert oracle.subset_bound(elems(*range(size))) is None
+        assert uncertified >= 10
+
+    def test_no_bound_once_the_oracle_clamped(self):
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0)))
+        assert oracle.subset_bound(elems(1, 2)) is not None
+        oracle.clamped = True
+        assert oracle.subset_bound(elems(1, 2)) is None
+
+    def test_no_bound_past_the_sizes_the_certificate_covers(self):
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(7, 12, 1e-13, 1.0)))
+        covered = len(oracle._slacks)
+        assert 0 < covered < 12
+        assert oracle.subset_bound(elems(*range(covered - 1))) is not None
+        assert oracle.subset_bound(elems(*range(covered))) is None
+        assert oracle.subset_bound(elems(*range(12))) is None
+
+    def test_no_bound_once_the_kernel_is_replaced(self):
+        oracle = LogDetOracle(DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0)))
+        oracle.kernel = DppKernel(_spectrum_kernel(6, 6, 1.0, 2.0))
+        assert oracle.subset_bound(elems(1, 2)) is None
+
+    def test_no_bound_from_other_oracles(self):
+        kernel = DppKernel(_spectrum_kernel(5, 6, 1.0, 2.0))
+        covers = {i: {i, i + 1} for i in range(6)}
+        oracles = [
+            ModularOracle({i: 1.0 for i in range(6)}),
+            CoverageOracle(covers),
+            CutOracle([(0, 1, 1.0), (2, 3, 2.0)], nodes=range(6)),
+            WeightedSumOracle([(1.0, LogDetOracle(kernel)), (0.5, CoverageOracle(covers))]),
+            SequentialDppOracle(kernel),
+            UnscreenedLogDet(kernel),
+        ]
+        for oracle in oracles:
+            assert oracle.subset_bound(elems(1, 2)) is None
 
 
 def _reference_gain_bound(oracle, s, e):
