@@ -73,10 +73,11 @@ def _screen(
     live = {inst.current_solution(): None for c in chains for inst in c.instances}
     used: Memo = {key: entry for key, entry in memo.items() if key in live}
     fresh = [solution for solution in live if solution not in used]
-    bounds = [_ceiling(oracle, solution) for solution in fresh]
-    if any(bound is not None for bound in bounds):
-        least = bar()
-        fresh = [s for s, b in zip(fresh, bounds) if b is None or not b < least]
+    if fresh:
+        bounds = [_ceiling(oracle, solution) for solution in fresh]
+        if bounds.count(None) < len(bounds):
+            least = bar()
+            fresh = [s for s, b in zip(fresh, bounds) if b is None or not b < least]
     # Plain copies, so the memo keeps no Solution, nor its bound vector,
     # past the solution's commit. A copy reuses the stored hashes.
     return [frozenset(solution) for solution in fresh], used
@@ -618,13 +619,16 @@ class GridState:
         """
         if self._step_memo is not None:
             self._step_memo.clear()
-        oracle = self._evaluator
         live = [chain for chain in self.runs.values() if chain._final is None]
-        fresh, used = _screen(oracle, live, self._memo, self._bar)
-        pruned = self._memo = _prune(oracle, self.prune, fresh, used)
+        if live:
+            oracle = self._evaluator
+            fresh, used = _screen(oracle, live, self._memo, self._bar)
+            self._memo = _prune(oracle, self.prune, fresh, used)
+        else:  # every run keeps its best
+            self._memo = {}
         best: Candidate | None = None
         for chain in self.runs.values():
-            found = chain._best(pruned)
+            found = chain._best(self._memo)
             if best is None or found[1] > best[1]:
                 best = found
         if self.e_m is not None and (best is None or self.m > best[1]):

@@ -79,14 +79,15 @@ def load_stream(
         if not all(math.isfinite(x) for x in features):
             raise ParseError(f"element {eid} has a non-finite feature", line)
         if caps is not None:
-            for c, cap in zip(costs, caps):
-                if c / cap == math.inf:
-                    raise ParseError(
-                        f"element {eid}: cost {c} over capacity {cap} overflows"
-                        " the float range",
-                        line,
-                    )
-            costs = [c / cap for c, cap in zip(costs, caps)]
+            scaled = [c / cap for c, cap in zip(costs, caps)]
+            if math.inf in scaled:
+                i = scaled.index(math.inf)
+                raise ParseError(
+                    f"element {eid}: cost {costs[i]} over capacity {caps[i]}"
+                    " overflows the float range",
+                    line,
+                )
+            costs = scaled
         return Element(
             id=eid,
             features=tuple(features) if features else None,
