@@ -39,19 +39,20 @@ class Solution(frozenset):
     predecessor's vector, the element added) left by ``grown``. A
     finalize keeps f of the solution in ``value`` as (oracle, f(S)), and
     the oracle's ``subset_bound`` of it in ``ceiling`` as (oracle,
-    bound), and reads both back on later snapshots: a Solution always
-    iterates in one order, so it holds the bits a fresh call returns. A
-    copy made with ``frozenset()`` may iterate in another order. A
-    knapsack spec keeps the solution's per-knapsack loads in ``loads`` as
-    (spec, loads).
+    bound), and its double-greedy pruned set in ``cut`` as (oracle,
+    pruned set, f(pruned)), and reads them back on later snapshots: a
+    Solution always iterates in one order, so it holds the bits a fresh
+    call returns. A copy made with ``frozenset()`` may iterate in another
+    order. A knapsack spec keeps the solution's per-knapsack loads in
+    ``loads`` as (spec, loads).
     """
 
-    __slots__ = ("layout", "bound", "value", "ceiling", "loads")
+    __slots__ = ("layout", "bound", "value", "ceiling", "cut", "loads")
 
     def __new__(cls, elements: Iterable[Element] = ()) -> Solution:
         solution = super().__new__(cls, elements)
         solution.layout = solution.bound = solution.value = None
-        solution.ceiling = solution.loads = None
+        solution.ceiling = solution.cut = solution.loads = None
         return solution
 
     def grown(self, elements: Iterable[Element], e: Element) -> Solution:

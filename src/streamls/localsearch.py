@@ -3,9 +3,9 @@
 The chain runs q swap-greedy instances in sequence: whatever instance i
 discards (rejections and evictions alike) is offered to instance i+1 in
 the same update, and only the last instance's discards leave for good.
-Finalizing prunes every instance solution with double greedy and takes
-the best candidate, which converts a monotone backbone guarantee into a
-non-monotone one.
+Finalizing takes the best of every instance solution and, where it could
+win, its double-greedy-pruned subset, which converts a monotone backbone
+guarantee into a non-monotone one.
 
 For knapsacks, a geometric grid of density thresholds brackets the
 unknown optimum between the best feasible singleton m and k*m; one chain
@@ -47,40 +47,62 @@ _SCREEN_REL = 1e-9
 _MAX_RUNS = 10_000
 
 
-# A solution's pruned set and that set's value, keyed by a plain copy of
-# the solution's content.
-Memo = dict[frozenset[Element], tuple[frozenset[Element], float]]
+def _finalize(
+    oracle: ValueOracle,
+    prune: DoubleGreedyConfig,
+    chains: Collection[ChainState],
+    floor: float = -math.inf,
+) -> Candidate | None:
+    """The best candidate of ``chains``, the earliest run's on a tie, or
+    None when there is none. The runs not yet final are screened and
+    pruned first, against the largest of ``floor`` and each run's bar.
+    """
+    live = [chain for chain in chains if chain._final is None]
+    if live:
+        fresh = _screen(oracle, live, lambda: max([floor] + [c._bar() for c in chains]))
+        _prune(oracle, prune, fresh)
+    best: Candidate | None = None
+    for chain in chains:
+        found = chain._best()
+        if best is None or found[1] > best[1]:
+            best = found
+    return best
 
 
 def _screen(
-    oracle: ValueOracle,
-    chains: Iterable[ChainState],
-    memo: Memo,
-    bar: Callable[[], float],
-) -> tuple[list[frozenset[Element]], Memo]:
-    """The live solutions of ``chains`` that need a pruning pass, as plain
-    copies, and the entries of ``memo`` the last finalize kept for the rest.
+    oracle: ValueOracle, chains: Iterable[ChainState], bar: Callable[[], float]
+) -> list[list[Solution]]:
+    """The live solutions of ``chains`` that need a pruning pass, grouped
+    by content in the order first seen.
 
-    A solution needs a pass unless ``memo`` holds one of equal content or
-    its ``subset_bound`` lies below ``bar()``, the largest value among
-    candidates that need no pass. Every set the pass could return is then
-    worth less than some candidate, so it can neither win nor tie. The bar
-    is asked only once some solution has a bound, and asked here rather
-    than in the pass, so the values it reads are asked by the finalize.
-    Each solution keeps its bound, so a later finalize with no commit in
-    between asks for none of them again.
+    A group shares one cut: one that a member keeps goes to every member.
+    Any other group needs a pass unless its first member's ``subset_bound``
+    lies below ``bar()``, the largest value among candidates that need no
+    pass, so that no set the pass could return can win or tie. The bar is
+    asked only once some group has a bound, and here rather than in the
+    pass, so the values it reads are asked by the finalize. Bounds are
+    kept on the solutions, so a later finalize with no commit in between
+    asks for none of them again.
     """
-    live = {inst.current_solution(): None for c in chains for inst in c.instances}
-    used: Memo = {key: entry for key, entry in memo.items() if key in live}
-    fresh = [solution for solution in live if solution not in used]
+    groups: dict[Solution, list[Solution]] = {}
+    for chain in chains:
+        for inst in chain.instances:
+            solution = inst.current_solution()
+            groups.setdefault(solution, []).append(solution)
+    fresh: list[list[Solution]] = []
+    for group in groups.values():
+        kept = [s.cut for s in group if s.cut is not None and s.cut[0] is oracle]
+        if kept:
+            for solution in group:
+                solution.cut = kept[0]
+        else:
+            fresh.append(group)
     if fresh:
-        bounds = [_ceiling(oracle, solution) for solution in fresh]
+        bounds = [_ceiling(oracle, group[0]) for group in fresh]
         if bounds.count(None) < len(bounds):
             least = bar()
-            fresh = [s for s, b in zip(fresh, bounds) if b is None or not b < least]
-    # Plain copies, so the memo keeps no Solution, nor its bound vector,
-    # past the solution's commit. A copy reuses the stored hashes.
-    return [frozenset(solution) for solution in fresh], used
+            fresh = [g for g, b in zip(fresh, bounds) if b is None or not b < least]
+    return fresh
 
 
 def _ceiling(oracle: ValueOracle, solution: Solution) -> float | None:
@@ -92,23 +114,18 @@ def _ceiling(oracle: ValueOracle, solution: Solution) -> float | None:
 
 
 def _prune(
-    oracle: ValueOracle,
-    prune: DoubleGreedyConfig,
-    fresh: list[frozenset[Element]],
-    used: Memo,
-) -> Memo:
-    """``used`` with each solution of ``fresh`` mapped to its pruned set
-    and that set's value.
-
-    Double greedy reads only a solution's content, in id order, so a memo
-    entry is what a fresh pass returns, bit for bit. The solutions are
-    pruned in one lockstep pass and their cuts evaluated in one ``values``
-    call.
-    """
-    if fresh:
-        cuts = unconstrained_max_many(oracle, fresh, prune)
-        used.update(zip(fresh, zip(cuts, oracle.values(cuts))))
-    return used
+    oracle: ValueOracle, prune: DoubleGreedyConfig, groups: list[list[Solution]]
+) -> None:
+    """Keep on each solution of ``groups`` its group's pruned set and that
+    set's value, one ``cut`` per group, from one lockstep pass and one
+    ``values`` call. Double greedy reads only a solution's content, in id
+    order, so a kept cut is what a fresh pass returns, bit for bit."""
+    if groups:
+        cuts = unconstrained_max_many(oracle, [group[0] for group in groups], prune)
+        for group, cut, value in zip(groups, cuts, oracle.values(cuts)):
+            kept = (oracle, cut, value)
+            for solution in group:
+                solution.cut = kept
 
 
 class _StepMemo(ValueOracle):
@@ -265,7 +282,6 @@ class ChainState:
         self.processed = 0
         self.dropped = 0
         self.high_water = 0
-        self._memo: Memo = {}
         # ``_best``'s result, once every instance is frozen: it can no
         # longer change, so no later finalize prunes or walks the run.
         self._final: Candidate | None = None
@@ -341,17 +357,14 @@ class ChainState:
     def finalize(self) -> Selection:
         """Best of all instance solutions and their pruned variants.
 
-        The stream may continue afterwards. The chain prunes with its own
-        memo and keeps the result as the next one (see ``_prune``), so a
-        snapshot replaces the memo and must not race another. A solution
-        whose pruned set could not win is not pruned (see ``_screen``).
-        Ties keep the earliest candidate: lowest instance, then its
-        solution, the solution pruned, the overflowing element alone.
+        The stream may continue afterwards. Each pruned set is kept on
+        its solution (see ``_prune``), so a snapshot writes to the held
+        solutions and must not race another. A solution whose pruned set
+        could not win is not pruned (see ``_screen``). Ties keep the
+        earliest candidate: lowest instance, then its solution, the
+        solution pruned, the overflowing element alone.
         """
-        if self._final is None:
-            fresh, used = _screen(self.oracle, [self], self._memo, self._bar)
-            self._memo = _prune(self.oracle, self.prune, fresh, used)
-        return _selection(self._best(self._memo))
+        return _selection(_finalize(self.oracle, self.prune, [self]))
 
     def _held(self, inst: IndStreamInstance) -> list[tuple[frozenset[Element], float]]:
         """The candidates of ``inst`` that need no pruning, with their values:
@@ -388,16 +401,16 @@ class ChainState:
                     bar = value
         return bar
 
-    def _best(self, pruned: Memo) -> Candidate:
-        """The candidate ``finalize`` selects, with its value and instance;
-        ``pruned`` maps each solution to its pruned set and that set's
-        value, or lacks it when that set could not win.
+    def _best(self) -> Candidate:
+        """The candidate ``finalize`` selects, with its value and instance,
+        from each solution's ``cut``, which the last finalize left None
+        when the pruned set could not win.
 
-        Once every instance is frozen, the result itself is kept, and
-        ``pruned`` need not hold the run's solutions. It is kept only when
-        every pruned set left out is bounded below it, so that it is the
-        run's own best: a grid's bar may fall when the runs that hold its
-        best retire.
+        Once every instance is frozen, the result itself is kept, and the
+        run's cuts are no longer read. It is kept only when every pruned
+        set left out is bounded below it, so that it is the run's own
+        best: a grid's bar may fall when the runs that hold its best
+        retire.
         """
         if self._final is not None:
             return self._final
@@ -407,9 +420,9 @@ class ChainState:
         for inst in self.instances:
             candidates = self._held(inst)
             solution = candidates[0][0]
-            cut = pruned.get(solution)
-            if cut is not None:
-                candidates.insert(1, cut)
+            cut = solution.cut
+            if cut is not None and cut[0] is self.oracle:
+                candidates.insert(1, cut[1:])
             elif self._all_frozen:
                 left_out.append(_ceiling(self.oracle, solution))
             for cand, cand_value in candidates:
@@ -513,8 +526,6 @@ class GridState:
         self.high_water = 0
         self.max_active_runs = 0
         self._retired_chain_high_water = 0
-        # The last finalize's pruned solutions, for all runs; see _prune.
-        self._memo: Memo = {}
 
     @property
     def max_chain_high_water(self) -> int:
@@ -619,33 +630,13 @@ class GridState:
         """
         if self._step_memo is not None:
             self._step_memo.clear()
-        live = [chain for chain in self.runs.values() if chain._final is None]
-        if live:
-            oracle = self._evaluator
-            fresh, used = _screen(oracle, live, self._memo, self._bar)
-            self._memo = _prune(oracle, self.prune, fresh, used)
-        else:  # every run keeps its best
-            self._memo = {}
-        best: Candidate | None = None
-        for chain in self.runs.values():
-            found = chain._best(self._memo)
-            if best is None or found[1] > best[1]:
-                best = found
+        floor = self.m if self.e_m is not None else -math.inf
+        best = _finalize(self._evaluator, self.prune, self.runs.values(), floor)
         if self.e_m is not None and (best is None or self.m > best[1]):
             return Selection(frozenset({self.e_m}), self.m)
         if best is None:
             return Selection(frozenset(), self._empty)
         return _selection(best)
-
-    def _bar(self) -> float:
-        """The largest value among the runs' candidates that need no
-        pruning and the best feasible singleton's; see ``_screen``."""
-        bar = self.m if self.e_m is not None else -math.inf
-        for chain in self.runs.values():
-            found = chain._bar()
-            if found > bar:
-                bar = found
-        return bar
 
     def _sync(self) -> None:
         """Count into each run the elements routed to it uncalled."""
@@ -677,9 +668,9 @@ def _new_engine(
     prune: DoubleGreedyConfig = DoubleGreedyConfig(),
 ) -> ChainState | GridState:
     """A threshold grid when there is a knapsack, else a plain chain."""
-    _check_options(k, eps)
     if knapsacks is not None and knapsacks.d > 0:
         return GridState(oracle, constraint, knapsacks, k=k, eps=eps, prune=prune)
+    _check_options(k, eps)
     return ChainState(oracle, constraint, prune=prune)
 
 

@@ -1450,16 +1450,26 @@ class AskSpy:
 
 
 class PruneSpy:
-    """Counts the grounds that ``localsearch`` hands double greedy."""
+    """Counts the grounds that ``localsearch`` hands double greedy, and
+    keeps them in ``grounds``."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.grounds = []
         monkeypatch.setattr(localsearch, "unconstrained_max_many", self)
 
     def __call__(self, oracle, grounds, cfg):
         grounds = list(grounds)
         self.calls += len(grounds)
+        self.grounds += grounds
         return unconstrained_max_many(oracle, grounds, cfg)
+
+
+def screened_solutions(engine):
+    """The solutions a finalize screens: those of the runs not yet final."""
+    chains = engine.runs.values() if isinstance(engine, GridState) else [engine]
+    live = [c for c in chains if c._final is None]
+    return [inst.current_solution() for c in live for inst in c.instances]
 
 
 class TestPruningMemo:
@@ -1471,7 +1481,7 @@ class TestPruningMemo:
     def test_snapshots_match_the_uncached_reference(self, kind, d, prune, monkeypatch):
         rng = random.Random(f"memo:{kind}:{d}")
         spy = PruneSpy(monkeypatch)
-        pruned_solutions = 0
+        pruned_solutions = cuts = 0
         for _ in range(8):
             instance = random_instance(rng, d=d, kinds=(kind,))
             if d:
@@ -1491,16 +1501,20 @@ class TestPruningMemo:
                     got, want = session.snapshot(), reference.finalize()
                     assert repr(got.ids) == repr(want.ids)
                     assert repr(got.value) == repr(want.value)
-                    assert set(engine._memo) <= live_solutions(engine)
-                    for solution, (pruned, value) in engine._memo.items():
+                    for _, solution in held_solutions(engine):
+                        if solution.cut is None:
+                            continue
+                        _, pruned, value = solution.cut
                         want = unconstrained_max(instance.oracle, solution, prune)
-                        assert pruned == want
+                        assert repr(pruned) == repr(want)
                         assert repr(value) == repr(instance.oracle.value(want))
+                        cuts += 1
                     pruned_solutions += len(live_solutions(engine))
             got, want = session.close().selection, reference.finalize()
             assert repr(got.ids) == repr(want.ids)
             assert repr(got.value) == repr(want.value)
         assert 0 < spy.calls < pruned_solutions
+        assert cuts > 0
 
     @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
     def test_repeated_snapshot_prunes_nothing(self, d, monkeypatch):
@@ -1563,17 +1577,71 @@ class TestPruningMemo:
         for e in elements[:40]:
             session.push(e)
         session.snapshot()
-        taken = [weakref.ref(s) for s in live_solutions(engine)]
-        assert taken and all(type(key) is frozenset for key in engine._memo)
+        solutions = live_solutions(engine)
+        taken = [weakref.ref(s) for s in solutions]
+        cut_sets = [weakref.ref(s.cut[1]) for s in solutions if s.cut is not None]
+        assert taken and cut_sets
+        del solutions
         for e in elements[40:]:
             session.push(e)
         gc.collect()
-        # The memo keys plain copies, so a solution an instance has
-        # committed past goes at once, with the bound vector on it.
-        live = {id(s) for s in live_solutions(engine)}
+        # A cut lives on its solution, so a solution an instance has
+        # committed past goes at once, with the bound vector and the cut
+        # on it; a cut stays only while a live solution shares it.
+        live = live_solutions(engine)
+        live_cuts = {id(s.cut[1]) for s in live if s.cut is not None}
         assert any(ref() is None for ref in taken)
-        assert all(ref() is None or id(ref()) in live for ref in taken)
-        assert len(engine._memo) > 0
+        assert all(ref() is None or ref() in live for ref in taken)
+        assert any(ref() is None for ref in cut_sets)
+        assert all(ref() is None or id(ref()) in live_cuts for ref in cut_sets)
+
+    def test_equal_contents_share_one_pass(self, monkeypatch):
+        # Coverage has no subset bound, so every screened solution is pruned.
+        spy = PruneSpy(monkeypatch)
+        shared = 0
+        for seed in range(10):
+            instance = random_instance(random.Random(f"share:{seed}"), 1, ("coverage",))
+            session = StreamingSession(
+                instance.oracle, instance.constraint, instance.knapsacks, k=instance.k
+            )
+            for e in instance.elements:
+                session.push(e)
+                spy.grounds = []
+                session.snapshot()
+                contents = [frozenset(g) for g in spy.grounds]
+                assert len(set(contents)) == len(contents)
+                groups = {}
+                for solution in screened_solutions(session.engine):
+                    groups.setdefault(solution, []).append(solution)
+                for group in groups.values():
+                    first, *others = group
+                    assert first.cut is not None
+                    assert all(other.cut is first.cut for other in others)
+                    shared += bool(others)
+        assert shared > 0
+
+    @pytest.mark.parametrize("d", [0, 1], ids=["chain", "grid"])
+    def test_a_snapshot_prunes_only_new_content(self, d, monkeypatch):
+        spy = PruneSpy(monkeypatch)
+        single = 0
+        for seed in range(10):
+            rng = random.Random(f"new-content:{d}:{seed}")
+            instance = random_instance(rng, d, ("coverage",))
+            session = StreamingSession(
+                instance.oracle, instance.constraint, instance.knapsacks, k=instance.k
+            )
+            before = []
+            for e in instance.elements:
+                session.push(e)
+                after = screened_solutions(session.engine)
+                kept = {s for s in after if any(s is b for b in before)}
+                new = {s for s in after if s not in kept}
+                spy.grounds = []
+                session.snapshot()
+                assert sorted(map(sorted_ids, spy.grounds)) == sorted(map(sorted_ids, new))
+                single += len(new) == 1 and len(after) > 1
+                before = after
+        assert single > 0
 
 
 def _screen_kernel(kind, n, seed):
@@ -1909,7 +1977,7 @@ class TestAllFrozenRuns:
 
 class NoSubsetBound(LogDetOracle):
     """A log-det oracle with no subset bound: every finalize prunes every
-    solution that no memo entry covers."""
+    solution that keeps no cut."""
 
     def subset_bound(self, s):
         return None
