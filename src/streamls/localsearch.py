@@ -48,19 +48,18 @@ _MAX_RUNS = 10_000
 
 
 def _finalize(
-    oracle: ValueOracle,
-    prune: DoubleGreedyConfig,
-    chains: Collection[ChainState],
-    floor: float = -math.inf,
+    chains: Collection[ChainState], floor: float = -math.inf
 ) -> Candidate | None:
     """The best candidate of ``chains``, the earliest run's on a tie, or
     None when there is none. The runs not yet final are screened and
-    pruned first, against the largest of ``floor`` and each run's bar.
+    pruned first, with their shared oracle and pruning settings, against
+    the largest of ``floor`` and each run's bar.
     """
     live = [chain for chain in chains if chain._final is None]
     if live:
+        oracle = live[0].oracle
         fresh = _screen(oracle, live, lambda: max([floor] + [c._bar() for c in chains]))
-        _prune(oracle, prune, fresh)
+        _prune(oracle, live[0].prune, fresh)
     best: Candidate | None = None
     for chain in chains:
         found = chain._best()
@@ -364,7 +363,7 @@ class ChainState:
         earliest candidate: lowest instance, then its solution, the
         solution pruned, the overflowing element alone.
         """
-        return _selection(_finalize(self.oracle, self.prune, [self]))
+        return _selection(_finalize([self]))
 
     def _held(self, inst: IndStreamInstance) -> list[tuple[frozenset[Element], float]]:
         """The candidates of ``inst`` that need no pruning, with their values:
@@ -631,7 +630,7 @@ class GridState:
         if self._step_memo is not None:
             self._step_memo.clear()
         floor = self.m if self.e_m is not None else -math.inf
-        best = _finalize(self._evaluator, self.prune, self.runs.values(), floor)
+        best = _finalize(self.runs.values(), floor)
         if self.e_m is not None and (best is None or self.m > best[1]):
             return Selection(frozenset({self.e_m}), self.m)
         if best is None:
